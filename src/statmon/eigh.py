@@ -1,10 +1,11 @@
-"""Deterministic cyclic-Jacobi eigensolver for small real symmetric matrices.
+"""Deterministic eigendecomposition for small real symmetric matrices.
 
-Everything this package diagonalizes is at most 48x48 (the complex
-embedding of a four-box density matrix), so a fixed-order Jacobi sweep is
-both fast enough and, unlike LAPACK drivers, bit-reproducible across
-platforms.  Determinism matters because downstream code picks "the first"
-eigenvector inside degenerate clusters.
+LAPACK (`np.linalg.eigh`) computes the spectrum; the basis it returns inside
+a degenerate eigenvalue cluster is arbitrary, so each cluster is replaced by
+a canonical basis that depends only on the cluster's eigenspace.  Downstream
+code picks "the first" eigenvector inside degenerate clusters, and this
+makes that choice reproducible: byte-identical on one machine, and equal to
+roundoff across BLAS builds.
 """
 
 from __future__ import annotations
@@ -16,18 +17,26 @@ import numpy as np
 from .errors import ContractError, ConvergenceError
 
 SYMMETRY_TOL = 1e-12
-OFFDIAG_TOL = 1e-12
-MAX_SWEEPS = 100
 CLUSTER_GAP = 1e-8
 RESIDUAL_TOL = 1e-9
+SIGN_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in descending order with orthonormal eigenvector columns."""
+    """Eigenvalues in descending order with orthonormal eigenvector columns.
+
+    The solver diagnostics come along: `residual` is max |A - V diag(w) V^T|,
+    `gram_error` is max |V^T V - I|, and `min_gap` is the smallest gap
+    between adjacent eigenvalue clusters split at CLUSTER_GAP (inf when
+    there is one cluster).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    residual: float
+    gram_error: float
+    min_gap: float
 
     @property
     def dim(self) -> int:
@@ -46,35 +55,59 @@ class SpectralDecomposition:
         return s.stop - s.start
 
 
-def _orthonormalize_columns(block: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt; columns are assumed close to orthonormal."""
-    Q = block.copy()
-    for j in range(Q.shape[1]):
-        for k in range(j):
-            Q[:, j] -= (Q[:, k] @ Q[:, j]) * Q[:, k]
-        norm = np.linalg.norm(Q[:, j])
-        if norm < 0.5:
-            raise ConvergenceError("eigenvector cluster lost rank during cleanup")
-        Q[:, j] /= norm
-    return Q
+def _canonical_basis(block: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of `block` that depends only on
+    that span.
+
+    Gram-Schmidt on the projector's columns P e_0, P e_1, ... with
+    P = block block^T, skipping columns whose residual norm is below
+    0.5/sqrt(d).  With m of k vectors kept, the squared residual norms of all
+    d columns sum to k - m, so some column reaches 1/sqrt(d) and is kept: the
+    loop stops short of k vectors only if the input has lost rank.
+    """
+    d, k = block.shape
+    P = block @ block.T
+    basis = np.empty((d, k))
+    floor = 0.5 / np.sqrt(d)
+    kept = 0
+    for i in range(d):
+        r = P[:, i] - basis[:, :kept] @ (basis[:, :kept].T @ P[:, i])
+        norm = np.linalg.norm(r)
+        if norm >= floor:
+            basis[:, kept] = r / norm
+            kept += 1
+            if kept == k:
+                return basis
+    raise ConvergenceError(f"eigenvector cluster of size {k} has rank {kept}")
 
 
-def _fix_signs(V: np.ndarray) -> None:
-    """Make the largest-magnitude component of each column positive."""
-    for j in range(V.shape[1]):
-        lead = np.argmax(np.abs(V[:, j]))
-        if V[lead, j] < 0.0:
-            V[:, j] = -V[:, j]
+def _canonicalize(eigenvalues: np.ndarray, V: np.ndarray, split_gap: float) -> None:
+    """Make V (columns sorted by descending eigenvalue) canonical, in place.
+
+    Clusters split wherever adjacent eigenvalues differ by at least
+    `split_gap`; each cluster of size > 1 gets its canonical basis, then
+    each column's largest-magnitude component (the first within 1e-9 of the
+    largest) is made positive.
+    """
+    cuts = np.flatnonzero(eigenvalues[:-1] - eigenvalues[1:] >= split_gap) + 1
+    for block in np.split(np.arange(eigenvalues.shape[0]), cuts):
+        if len(block) > 1:
+            V[:, block] = _canonical_basis(V[:, block])
+    # Components that tie within roundoff (common in S_n-symmetric operators)
+    # count as equally large, so the lowest index among them decides the sign.
+    mags = np.abs(V)
+    lead = np.argmax(mags >= mags.max(axis=0) - SIGN_TIE_TOL, axis=0)
+    V *= np.where(V[lead, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def symmetric_spectrum(matrix) -> SpectralDecomposition:
     """Full eigendecomposition of a real symmetric matrix.
 
-    Cyclic Jacobi sweeps in fixed row-major pivot order, stopping once the
-    largest off-diagonal entry falls below 1e-12 (at most 100 sweeps).
     Output is deterministic: eigenvalues sorted descending with a stable
-    sort, each eigenvector's largest-magnitude component made positive,
-    and near-degenerate clusters (gap < 1e-8) re-orthonormalized.
+    sort, each degenerate eigenspace given a canonical basis that does not
+    depend on the one LAPACK returned, and each eigenvector's
+    largest-magnitude component made positive.  The result is checked for
+    orthonormality and reconstruction to 1e-9 (relative to the largest entry).
     """
     A = np.array(matrix, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -85,83 +118,40 @@ def symmetric_spectrum(matrix) -> SpectralDecomposition:
         raise ContractError("matrix is not symmetric within 1e-12")
     d = A.shape[0]
     A = (A + A.T) / 2.0
-    original = A.copy()
-    V = np.eye(d)
+    tolerance = RESIDUAL_TOL * max(1.0, np.abs(A).max())
 
-    converged = d < 2
-    for _ in range(MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                if abs(apq) < 1e-200:  # far below any tolerance; avoids overflow in tau
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e8:
-                    t = 0.5 / tau  # asymptotic root; avoids tau*tau overflow
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = A[p, p], A[q, q]
-                Ap, Aq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * Ap - s * Aq
-                A[:, q] = s * Ap + c * Aq
-                Ap, Aq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * Ap - s * Aq
-                A[q, :] = s * Ap + c * Aq
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = A[q, p] = 0.0
-                Vp, Vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * Vp - s * Vq
-                V[:, q] = s * Vp + c * Vq
-        off = np.abs(A - np.diag(np.diag(A))).max()
-        converged = off <= OFFDIAG_TOL
-    if not converged:
-        raise ConvergenceError(f"Jacobi sweep did not converge in {MAX_SWEEPS} sweeps")
-
-    eigenvalues = np.diag(A).copy()
+    eigenvalues, V = np.linalg.eigh(A)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     V = V[:, order]
+    # Eigenvalues closer than tolerance/d count as one eigenspace: a cluster
+    # then spans less than the tolerance, so replacing its basis keeps the
+    # reconstruction within it.  CLUSTER_GAP is too wide for this.
+    _canonicalize(eigenvalues, V, tolerance / d)
+    gaps = eigenvalues[:-1] - eigenvalues[1:]
+    min_gap = float(gaps[gaps >= CLUSTER_GAP].min(initial=np.inf))
 
-    # Re-orthonormalize inside near-degenerate clusters; the basis inside a
-    # cluster is otherwise arbitrary and callers must not rely on it beyond
-    # the determinism guaranteed here.
-    start = 0
-    for j in range(1, d + 1):
-        if j == d or eigenvalues[j - 1] - eigenvalues[j] >= CLUSTER_GAP:
-            if j - start > 1:
-                V[:, start:j] = _orthonormalize_columns(V[:, start:j])
-            start = j
-    _fix_signs(V)
-
-    gram = np.abs(V.T @ V - np.eye(d)).max(initial=0.0)
-    residual = np.abs(original - (V * eigenvalues) @ V.T).max(initial=0.0)
-    if gram > RESIDUAL_TOL or residual > RESIDUAL_TOL * max(1.0, np.abs(original).max()):
+    gram = float(np.abs(V.T @ V - np.eye(d)).max(initial=0.0))
+    residual = float(np.abs(A - (V * eigenvalues) @ V.T).max(initial=0.0))
+    if gram > RESIDUAL_TOL or residual > tolerance:
         raise ConvergenceError(
             f"decomposition failed contract: gram {gram:.2e}, residual {residual:.2e}"
         )
     eigenvalues.setflags(write=False)
     V.setflags(write=False)
-    return SpectralDecomposition(eigenvalues, V)
+    return SpectralDecomposition(eigenvalues, V, residual, gram, min_gap)
 
 
 def hermitian_min_eigenvalue(matrix) -> float:
     """Smallest eigenvalue of a complex Hermitian matrix.
 
-    Uses the real embedding [[Re, -Im], [Im, Re]], whose spectrum is the
-    Hermitian spectrum with doubled multiplicities, so no complex solver is
-    needed.  The input is symmetrized first; callers check Hermiticity to
-    their own tolerance.
+    The input is symmetrized first; callers check Hermiticity to their own
+    tolerance.
     """
     H = np.asarray(matrix, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise ContractError("matrix contains non-finite entries")
     H = (H + H.conj().T) / 2.0
-    embedded = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    return float(symmetric_spectrum(embedded).eigenvalues[-1])
+    return float(np.linalg.eigvalsh(H)[0])

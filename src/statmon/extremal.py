@@ -126,9 +126,11 @@ def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
 
     The intersection is the kernel of sum_i (I - s_i Pi_i)/2, a positive
     semidefinite matrix, so one symmetric eigensolve finds it; eigenvalues
-    below 1e-10 count as kernel.  Raises InfeasibleError when empty.
+    below 1e-10 count as kernel.  Raises InfeasibleError when empty, and
+    CapacityError for n above the dense limit before allocating anything.
     """
     n = group_core.validate_box_count(n)
+    _check_dense_capacity(n)
     constraints = list(constraints)
     if not constraints:
         return np.eye(group_core.factorial_dim(n))
@@ -167,7 +169,6 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     mapped back to the full space and is verified against every constraint.
     """
     constraints = list(constraints)
-    _check_dense_capacity(objective.n)
     basis = joint_eigenspace_basis(objective.n, constraints)
     M = objective.matrix()
     restricted = basis.T @ M @ basis

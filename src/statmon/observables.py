@@ -131,7 +131,7 @@ def parse_sign(value) -> int:
 @lru_cache(maxsize=None)
 def _theta_eigenbasis(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (+1, -1) eigenvectors of W_theta: first column of each
-    eigenvalue cluster from the fixed-order solver."""
+    eigenvalue cluster in the solver's canonical basis."""
     dec = symmetric_spectrum(w_theta(theta))
     try:
         plus = dec.eigenvectors[:, dec.cluster_slice(1.0, EIGENVECTOR_MATCH_GAP).start]

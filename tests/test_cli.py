@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import statmon
 from statmon.cli import main
 
 
@@ -153,3 +158,21 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
     lines = [l for l in out.strip().split("\n") if l.startswith("PASS")]
     assert len(lines) >= 20
+
+
+def test_closed_output_pipe_exits_quietly():
+    # The CSV (~150 kB) overflows the pipe buffer, so the writer is still
+    # writing when the reader closes its end after one line.
+    env = dict(os.environ, PYTHONPATH=str(Path(statmon.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "statmon.cli", "surface", "--theta-steps", "32", "--phi-steps", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"v_AB,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1, 2)
+    assert b"Traceback" not in err

@@ -5,7 +5,7 @@ from statmon import extremal as ex
 from statmon import group_core as gc
 from statmon import monogamy as mg
 from statmon import observables as ob
-from statmon.errors import InfeasibleError, ValidationError
+from statmon.errors import CapacityError, InfeasibleError, ValidationError
 
 P = gc.Pair.parse
 
@@ -150,6 +150,26 @@ def test_dense_eigensolve_capacity():
     with pytest.raises(Exception) as info:
         ex.max_expectation(ex.Objective.from_pairs(6, {"AB": 1.0}))
     assert "n <= 5" in str(info.value)
+
+
+def test_joint_eigenspace_capacity_gate():
+    # a conflicting pair allocates nothing, so only the gate can raise first
+    conflict = [ex.Constraint(P("AB"), +1), ex.Constraint(P("AB"), -1)]
+    for n in (6, 7):
+        with pytest.raises(CapacityError):
+            ex.joint_eigenspace_basis(n, conflict)
+        with pytest.raises(CapacityError):
+            ex.constraint_projector(n, conflict)
+    with pytest.raises(InfeasibleError):
+        ex.joint_eigenspace_basis(5, conflict)
+
+
+def test_constrained_extremal_reproducible():
+    constraints = [ex.Constraint(P("AB"), +1), ex.Constraint(P("CD"), -1)]
+    objective = ex.Objective.from_pairs(5, {"AC": 0.7, "BE": -0.4, "DE": 1.1, "BC": 0.3})
+    first = ex.constrained_extremal(constraints, objective).to_jsonable()
+    second = ex.constrained_extremal(constraints, objective).to_jsonable()
+    assert repr(first) == repr(second)
 
 
 def test_result_json_schema():
