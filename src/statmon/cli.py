@@ -45,22 +45,24 @@ def _parse_sign_flag(text: str) -> int:
     return observables.parse_sign(text if text in ("+", "-") else int(text))
 
 
+def _read_json(source: str):
+    try:
+        return json.loads(Path(source).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{source}: invalid JSON ({exc})") from None
+
+
 def _resolve_state(source: str) -> states.PureState:
     """A catalog name (chi excluded: it needs parameters) or a JSON file path."""
     if source == "chi":
         raise ValidationError("chi needs parameters; use `statmon state --name chi ...`")
     if source in states.NAMED_STATES:
         return states.named_state(source)
-    path = Path(source)
-    if not path.exists():
+    if not Path(source).exists():
         raise ValidationError(
             f"{source!r} is neither a named state {states.NAMED_STATES} nor a file"
         )
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{source}: invalid JSON ({exc})") from None
-    return states.state_from_jsonable(payload)
+    return states.state_from_jsonable(_read_json(source))
 
 
 def _parse_v(text: str) -> list[float]:
@@ -190,13 +192,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    try:
-        payload = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"scenario file {args.file!r} not found") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{args.file}: invalid JSON ({exc})") from None
-    graph = npartite.ScenarioGraph.from_jsonable(payload)
+    graph = npartite.ScenarioGraph.from_jsonable(_read_json(args.file))
     _emit(npartite.scenario_report(graph).to_jsonable())
     return EXIT_OK
 
@@ -273,6 +269,9 @@ def main(argv=None) -> int:
         # The reader closed stdout early (e.g. `| head`).  Point stdout at
         # devnull so the interpreter's exit-time flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except OSError as exc:  # an input or output file that cannot be opened, read or written
+        print(f"statmon: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"statmon: infeasible: {exc}", file=sys.stderr)

@@ -42,16 +42,16 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def cluster_slice(self, value: float, gap: float = CLUSTER_GAP) -> slice:
+    def cluster_slice(self, value: float) -> slice:
         """Index range of the eigenvalue cluster containing `value`."""
-        close = np.abs(self.eigenvalues - value) <= gap
+        close = np.abs(self.eigenvalues - value) <= CLUSTER_GAP
         if not close.any():
-            raise ConvergenceError(f"no eigenvalue within {gap} of {value}")
+            raise ConvergenceError(f"no eigenvalue within {CLUSTER_GAP} of {value}")
         idx = np.nonzero(close)[0]
         return slice(int(idx[0]), int(idx[-1]) + 1)
 
-    def degeneracy(self, value: float, gap: float = CLUSTER_GAP) -> int:
-        s = self.cluster_slice(value, gap)
+    def degeneracy(self, value: float) -> int:
+        s = self.cluster_slice(value)
         return s.stop - s.start
 
 

@@ -74,9 +74,9 @@ class Constraint:
     value: int
 
     def __post_init__(self):
-        if self.value not in (+1, -1):
+        if isinstance(self.value, (bool, np.bool_)) or self.value not in (+1, -1):
             raise ValidationError(
-                f"constraint value must be exactly +1 or -1, got {self.value!r}; "
+                f"constraint on {self.pair} must be exactly +1 or -1, got {self.value!r}; "
                 "intermediate targets are not eigenspace conditions"
             )
         object.__setattr__(self, "value", int(self.value))
@@ -238,8 +238,7 @@ def random_search_max(
     samples = int(samples)
     if samples < restarts * rounds:
         raise ValidationError("sample budget too small for the restart schedule")
-    M = objective.matrix()
-    dim = M.shape[0]
+    dim = group_core.factorial_dim(objective.n)
     rng = np.random.default_rng(seed)
     per = samples // (restarts * rounds)
     extra = samples - per * restarts * rounds
@@ -253,7 +252,7 @@ def random_search_max(
             if local_amp is not None:
                 z = local_amp[None, :] + sigma * z
             z /= np.linalg.norm(z, axis=1, keepdims=True)
-            vals = np.einsum("ij,ij->i", z.conj(), z @ M.T).real
+            vals = observables.exchange_rows(z, objective.n) @ objective.weights
             i = int(np.argmax(vals))
             if vals[i] > local_val:
                 local_val, local_amp = float(vals[i]), z[i]

@@ -31,10 +31,11 @@ Word = tuple[int, ...]
 
 
 def validate_box_count(n: int) -> int:
-    n = int(n)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"box count must be an integer, got {n!r}")
     if n < 2 or n > MAX_BOXES:
         raise CapacityError(f"box count must be in [2, {MAX_BOXES}], got {n}")
-    return n
+    return int(n)
 
 
 def box_letter(index: int) -> str:
@@ -70,7 +71,7 @@ class Pair:
 
     @classmethod
     def parse(cls, text: str) -> "Pair":
-        if len(text) != 2:
+        if not isinstance(text, str) or len(text) != 2:
             raise ValidationError(f"pair label must be two letters, got {text!r}")
         return cls.of(parse_box(text[0]), parse_box(text[1]))
 

@@ -15,17 +15,20 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import io
+import itertools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import group_core, observables, states
-from .errors import ConvergenceError, ValidationError
+from . import observables, states
+from .errors import CapacityError, ConvergenceError, ValidationError
 
 MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
 THETA_GRID_DEFAULT = 720
+THETA_GRID_MAX = 2**20  # a few float arrays of this length: tens of MB
+MESH_MAX_ROWS = 2**20  # ~0.65 kB per SurfacePoint: about 0.7 GB at the cap
 AUDIT_SHARD = 16384
 
 
@@ -38,17 +41,16 @@ def _validate_v(v) -> np.ndarray:
     return arr
 
 
+def _theta_lhs(v: np.ndarray, theta):
+    return abs(v[0] + v[1] + v[2]) + np.abs(
+        (2.0 * v[0] - v[1] - v[2]) * np.cos(theta) + np.sqrt(3.0) * (v[1] - v[2]) * np.sin(theta)
+    )
+
+
 def check_theta(v, theta: float) -> float:
     """Left-hand side |v_AB+v_BC+v_AC| + |(2v_AB-v_BC-v_AC)cos(theta)
     + sqrt(3)(v_BC-v_AC)sin(theta)|; membership requires <= 3."""
-    v = _validate_v(v)
-    theta = float(theta)
-    first = abs(v[0] + v[1] + v[2])
-    second = abs(
-        (2.0 * v[0] - v[1] - v[2]) * np.cos(theta)
-        + np.sqrt(3.0) * (v[1] - v[2]) * np.sin(theta)
-    )
-    return float(first + second)
+    return float(_theta_lhs(_validate_v(v), float(theta)))
 
 
 def theta_family_margin(v, grid: int = THETA_GRID_DEFAULT) -> float:
@@ -56,20 +58,14 @@ def theta_family_margin(v, grid: int = THETA_GRID_DEFAULT) -> float:
     v = _validate_v(v)
     if grid < 1:
         raise ValidationError("theta grid must have at least one point")
-    thetas = np.arange(grid) * (2.0 * np.pi / grid)
-    first = abs(v[0] + v[1] + v[2])
-    second = np.abs(
-        (2.0 * v[0] - v[1] - v[2]) * np.cos(thetas)
-        + np.sqrt(3.0) * (v[1] - v[2]) * np.sin(thetas)
-    )
-    return float(3.0 - (first + second.max()))
+    if grid > THETA_GRID_MAX:
+        raise CapacityError(f"theta grid supports at most {THETA_GRID_MAX} points, got {grid}")
+    return float(3.0 - _theta_lhs(v, np.arange(grid) * (2.0 * np.pi / grid)).max())
 
 
 def check_sqrt(v) -> float:
     """Margin 1 - [|w1.v| + sqrt((w2.v)^2 + (w3.v)^2)]; >= 0 inside."""
-    v = _validate_v(v)
-    w1, w2, w3 = observables.w_frame().vectors()
-    return float(1.0 - (abs(w1 @ v) + np.hypot(w2 @ v, w3 @ v)))
+    return float(_margins_of_v(_validate_v(v)))
 
 
 @dataclass(frozen=True)
@@ -113,24 +109,26 @@ class SurfacePoint:
     v: np.ndarray
 
 
+def _boundary_points(thetas, phis) -> list[SurfacePoint]:
+    """SurfacePoints for the (theta, phi, s1, s2) grid in that row order, each
+    verified to sit on the region surface to within 1e-9."""
+    amps = observables.chi_amplitudes(thetas, phis).reshape(-1, 6)
+    V = observables.exchange_rows(amps, 3)
+    worst = np.abs(_margins_of_v(V)).max()
+    if worst > BOUNDARY_TOL:
+        raise ConvergenceError(f"surface state missed the boundary by {worst:.2e}; solver bug")
+    params = itertools.product(thetas, phis, (1, -1), (1, -1))
+    return [
+        SurfacePoint(float(theta), float(phi), s1, s2, states.PureState(3, a), v)
+        for (theta, phi, s1, s2), a, v in zip(params, amps, V)
+    ]
+
+
 def surface_state(theta: float, phi: float, s1, s2) -> SurfacePoint:
     """Construct the boundary state for the given parameters and verify that
     its v-vector sits on the region surface to within 1e-9."""
-    chi = observables.chi_state(theta, phi, s1, s2)
-    v = observables.v_vector(chi)
-    margin = check_sqrt(v)
-    if abs(margin) > BOUNDARY_TOL:
-        raise ConvergenceError(
-            f"surface state missed the boundary by {margin:.2e}; solver bug"
-        )
-    return SurfacePoint(
-        theta=float(theta),
-        phi=float(phi),
-        s1=observables.parse_sign(s1),
-        s2=observables.parse_sign(s2),
-        state=chi,
-        v=v,
-    )
+    row = 2 * observables.sign_index(s1) + observables.sign_index(s2)
+    return _boundary_points([theta], [phi])[row]
 
 
 def surface_mesh(theta_steps: int, phi_steps: int) -> list[SurfacePoint]:
@@ -138,20 +136,17 @@ def surface_mesh(theta_steps: int, phi_steps: int) -> list[SurfacePoint]:
     choices; rows are ordered (theta, phi, s1, s2).
 
     Distinct parameters may repeat the same v (every theta collapses to the
-    two apexes at phi = 0); duplicates are emitted as-is.
+    two apexes at phi = 0); duplicates are emitted as-is.  Meshes above
+    MESH_MAX_ROWS rows are refused before anything is allocated.
     """
     theta_steps, phi_steps = int(theta_steps), int(phi_steps)
     if theta_steps < 2 or phi_steps < 2:
         raise ValidationError("mesh needs at least 2 steps per axis")
+    if 4 * theta_steps * phi_steps > MESH_MAX_ROWS:
+        raise CapacityError(f"mesh has 4 x {theta_steps} x {phi_steps} rows, over {MESH_MAX_ROWS}")
     thetas = np.arange(theta_steps) * (np.pi / theta_steps)
     phis = np.linspace(0.0, np.pi / 2.0, phi_steps)
-    points = []
-    for theta in thetas:
-        for phi in phis:
-            for s1 in (+1, -1):
-                for s2 in (+1, -1):
-                    points.append(surface_state(theta, phi, s1, s2))
-    return points
+    return _boundary_points(thetas, phis)
 
 
 def write_mesh_csv(points, stream) -> None:
@@ -188,32 +183,25 @@ class AuditReport:
 
 
 def _margins_of_v(V: np.ndarray) -> np.ndarray:
+    """check_sqrt's margin of one v-vector or of each row of a stack."""
     w1, w2, w3 = observables.w_frame().vectors()
     return 1.0 - (np.abs(V @ w1) + np.hypot(V @ w2, V @ w3))
 
 
-def _batch_v(amps: np.ndarray, mappings) -> np.ndarray:
-    """v-vectors for a batch of unit amplitude rows."""
-    cols = [
-        np.einsum("ij,ij->i", amps.conj(), amps[:, m]).real for m in mappings
-    ]
-    return np.stack(cols, axis=1)
-
-
-def _pure_shard(seed: int, index: int, count: int, n: int, mappings) -> tuple[float, int]:
+def _pure_shard(seed: int, index: int, count: int, n: int) -> tuple[float, int]:
     rng = np.random.default_rng([seed, 0, index])
     amps = states.random_amplitudes(n, count, rng)
-    margins = _margins_of_v(_batch_v(amps, mappings))
+    margins = _margins_of_v(observables.exchange_rows(amps, n))
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
-def _mixed_shard(seed: int, index: int, count: int, n: int, mappings) -> tuple[float, int]:
+def _mixed_shard(seed: int, index: int, count: int, n: int) -> tuple[float, int]:
     rng = np.random.default_rng([seed, 1, index])
     a = states.random_amplitudes(n, count, rng)
     b = states.random_amplitudes(n, count, rng)
     weight = rng.uniform(0.0, 1.0, size=count)[:, None]
     # v is linear in the density matrix, so a two-component mixture's v is
     # the weighted average of the components' v-vectors
-    V = weight * _batch_v(a, mappings) + (1.0 - weight) * _batch_v(b, mappings)
+    V = weight * observables.exchange_rows(a, n) + (1.0 - weight) * observables.exchange_rows(b, n)
     margins = _margins_of_v(V)
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
@@ -250,9 +238,10 @@ def region_audit(
         raise ValidationError("audit needs at least one pure sample")
     if n != 3:
         raise ValidationError("the membership audit is defined for n = 3")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if threads is None:
         threads = default_thread_count()
-    mappings = [op.mapping for op in group_core.all_exchange_operators(n)]
 
     jobs = []
     for kind, total in ((_pure_shard, samples), (_mixed_shard, mixed_samples)):
@@ -266,10 +255,10 @@ def region_audit(
     if threads > 1 and len(jobs) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
-                pool.map(lambda j: j[0](seed, j[1], j[2], n, mappings), jobs)
+                pool.map(lambda j: j[0](seed, j[1], j[2], n), jobs)
             )
     else:
-        results = [kind(seed, index, count, n, mappings) for kind, index, count in jobs]
+        results = [kind(seed, index, count, n) for kind, index, count in jobs]
 
     min_margin = min(r[0] for r in results)
     violations = sum(r[1] for r in results)

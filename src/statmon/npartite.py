@@ -36,13 +36,12 @@ class ScenarioGraph:
         n = group_core.validate_box_count(self.n)
         if n < 3:
             raise ValidationError("scenario graphs need at least 3 boxes")
-        fixed = tuple((p, int(v)) for p, v in self.fixed)
+        # the constraint rule: exactly +-1, never a float rounded to it
+        fixed = tuple((c.pair, c.value) for c in (extremal.Constraint(p, v) for p, v in self.fixed))
         free = tuple(self.free)
-        for pair, value in fixed:
+        for pair, _ in fixed:
             if pair.y >= n:
                 raise ValidationError(f"fixed pair {pair} invalid for n = {n}")
-            if value not in (+1, -1):
-                raise ValidationError(f"fixed edge {pair} must be +1 or -1, got {value}")
         for pair in free:
             if pair.y >= n:
                 raise ValidationError(f"free pair {pair} invalid for n = {n}")
@@ -60,16 +59,18 @@ class ScenarioGraph:
 
     @classmethod
     def from_jsonable(cls, obj) -> "ScenarioGraph":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         try:
-            n = int(obj["n"])
+            if isinstance(obj, str):
+                obj = json.loads(obj)
+            n = obj["n"]
             fixed_raw = obj.get("fixed", {})
             free_raw = obj.get("free", [])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed scenario JSON: {exc}") from None
+        if not isinstance(fixed_raw, dict) or not isinstance(free_raw, list):
+            raise ValidationError('scenario "fixed" must be an object and "free" a list')
         fixed = tuple(
-            sorted((group_core.Pair.parse(k), int(v)) for k, v in fixed_raw.items())
+            sorted(((group_core.Pair.parse(k), v) for k, v in fixed_raw.items()), key=lambda e: e[0])
         )
         free = tuple(sorted(group_core.Pair.parse(k) for k in free_raw))
         return cls(n=n, fixed=fixed, free=free)

@@ -18,11 +18,10 @@ import numpy as np
 from . import group_core
 from .eigh import SpectralDecomposition, symmetric_spectrum
 from .errors import ContractError, ConvergenceError, ValidationError
-from .states import MixedState, PureState
+from .states import MixedState, PureState, named_state
 
 HERMITICITY_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-9
-EIGENVECTOR_MATCH_GAP = 1e-8
 
 
 def _as_operator(op, dim: int):
@@ -65,6 +64,26 @@ def expectation(state: PureState | MixedState, op) -> float:
     if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise ConvergenceError(f"expectation has imaginary residue {value.imag:.2e}")
     return float(value.real)
+
+
+def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
+    """Batched <psi|Pi_XY|psi> for every unit amplitude row of `amps`.
+
+    Columns follow `pairs` (default: the canonical pairs of n, so each row is
+    that state's v-vector); rows are taken as already normalized.
+    """
+    amps = np.asarray(amps)
+    pairs = group_core.canonical_pairs(n) if pairs is None else pairs
+    parts = (amps.real, amps.imag) if np.iscomplexobj(amps) else (amps,)
+    cols = []
+    for pair in pairs:
+        m = group_core.exchange_operator(n, pair).mapping
+        lo = np.flatnonzero(m > np.arange(m.size))
+        # Pi_XY swaps basis words in pairs (k, m(k)), so Re<psi|Pi_XY|psi> is
+        # twice the sum over k < m(k) of Re a_k Re a_m(k) + Im a_k Im a_m(k).
+        # A product and a row sum give a state the same bits alone as in any batch.
+        cols.append(2.0 * sum(q[:, lo] * q[:, m[lo]] for q in parts).sum(axis=1))
+    return np.stack(cols, axis=1)
 
 
 def v_vector(state: PureState | MixedState) -> np.ndarray:
@@ -128,19 +147,39 @@ def parse_sign(value) -> int:
     raise ValidationError(f"sign must be +1 or -1, got {value!r}")
 
 
-@lru_cache(maxsize=None)
-def _theta_eigenbasis(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (+1, -1) eigenvectors of W_theta: first column of each
-    eigenvalue cluster in the solver's canonical basis."""
-    dec = symmetric_spectrum(w_theta(theta))
-    try:
-        plus = dec.eigenvectors[:, dec.cluster_slice(1.0, EIGENVECTOR_MATCH_GAP).start]
-        minus = dec.eigenvectors[:, dec.cluster_slice(-1.0, EIGENVECTOR_MATCH_GAP).start]
-    except ConvergenceError:
-        raise ConvergenceError(
-            "W_theta has no unit eigenvector; the eigensolver is broken"
-        ) from None
-    return plus, minus
+@lru_cache(maxsize=1)
+def _chi_bases() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows for sign s = +1 then -1: the (anti)symmetric state |s>, the
+    canonical s-eigenvector psi0 of W2, and s W3 psi0."""
+    sym = [named_state(name).amplitudes.real for name in ("sym_plus", "antisym_minus")]
+    dec = symmetric_spectrum(w_frame().W2)
+    psi0 = np.array([dec.eigenvectors[:, dec.cluster_slice(s).start] for s in (1.0, -1.0)])
+    bases = (np.array(sym), psi0, np.array([[1.0], [-1.0]]) * (psi0 @ w_frame().W3.T))
+    for arr in bases:
+        arr.setflags(write=False)
+    return bases
+
+
+def chi_amplitudes(thetas, phis) -> np.ndarray:
+    """Boundary-family amplitudes on a (theta, phi) grid with both signs,
+    shape (len(thetas), len(phis), 2, 2, 6); sign axes s1, s2 run +1, -1.
+
+    W2 and W3 anticommute with equal squares, so if W2 psi0 = s psi0 then
+    cos(theta/2) psi0 + s sin(theta/2) W3 psi0 is a unit eigenvector of
+    W_theta with eigenvalue s: the closed form, psi0 itself at theta = 0.
+    """
+    thetas = np.array([_validate_angle(t, 2.0 * np.pi, "theta") for t in thetas])
+    phis = np.array([_validate_angle(p, np.pi / 2.0, "phi", inclusive=True) for p in phis])
+    sym, psi0, signed_w3_psi0 = _chi_bases()
+    half = thetas[:, None, None] / 2.0
+    psi_theta = np.cos(half) * psi0 + np.sin(half) * signed_w3_psi0  # (T, s2, 6)
+    cos_phi, sin_phi = (f(phis)[None, :, None, None, None] for f in (np.cos, np.sin))
+    return cos_phi * sym[None, None, :, None, :] + sin_phi * psi_theta[:, None, None, :, :]
+
+
+def sign_index(s) -> int:
+    """Position of a sign on the s1/s2 axes of chi_amplitudes."""
+    return 0 if parse_sign(s) > 0 else 1
 
 
 def chi_state(theta: float, phi: float, s1, s2) -> PureState:
@@ -150,15 +189,8 @@ def chi_state(theta: float, phi: float, s1, s2) -> PureState:
     psi_theta^(+-) is a unit eigenvector of W_theta.  Every such state sits
     exactly on the monogamy region's surface.
     """
-    from .states import named_state
-
-    theta = _validate_angle(theta, 2.0 * np.pi, "theta")
-    phi = _validate_angle(phi, np.pi / 2.0, "phi", inclusive=True)
-    s1, s2 = parse_sign(s1), parse_sign(s2)
-    base1 = named_state("sym_plus" if s1 > 0 else "antisym_minus").amplitudes
-    plus, minus = _theta_eigenbasis(theta)
-    base2 = plus if s2 > 0 else minus
-    return PureState(3, np.cos(phi) * base1 + np.sin(phi) * base2)
+    i1, i2 = sign_index(s1), sign_index(s2)
+    return PureState(3, chi_amplitudes([theta], [phi])[0, 0, i1, i2])
 
 
 def bunching_probability(v: float) -> float:
@@ -177,10 +209,12 @@ def antibunching_probability(v: float) -> float:
 
 __all__ = [
     "expectation",
+    "exchange_rows",
     "v_vector",
     "WFrame",
     "w_frame",
     "w_theta",
+    "chi_amplitudes",
     "chi_state",
     "parse_sign",
     "bunching_probability",

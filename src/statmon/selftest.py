@@ -158,11 +158,7 @@ def w_spectra():
 @_check
 def v_entries_bounded():
     rng = np.random.default_rng(101)
-    amps = states.random_amplitudes(3, 10000, rng)
-    mappings = [op.mapping for op in group_core.all_exchange_operators(3)]
-    V = np.stack(
-        [np.einsum("ij,ij->i", amps.conj(), amps[:, m]).real for m in mappings], axis=1
-    )
+    V = observables.exchange_rows(states.random_amplitudes(3, 10000, rng), 3)
     worst = np.abs(V).max()
     assert worst <= 1.0 + STATE_TOL
     return f"10^4 random states: max |v| = {worst:.12f}"
@@ -300,16 +296,12 @@ def boundary_states_on_surface():
 def extremal_oracle_consistency():
     """Sampled maxima never exceed the eigenvalue and improve with samples."""
     rng = np.random.default_rng(2468)
-    mappings = [op.mapping for op in group_core.all_exchange_operators(3)]
     for k in range(5):
         weights = rng.standard_normal(3)
         objective = extremal.Objective(3, weights)
         lam = extremal.max_expectation(objective).value
         amps = states.random_amplitudes(3, 2000, np.random.default_rng(9000 + k))
-        V = np.stack(
-            [np.einsum("ij,ij->i", amps.conj(), amps[:, m]).real for m in mappings], axis=1
-        )
-        values = V @ weights
+        values = observables.exchange_rows(amps, 3) @ weights
         small, large = values[:200].max(), values.max()
         assert large <= lam + 1e-9
         assert small <= large
@@ -353,6 +345,15 @@ def four_box_cross_agreement():
     return "constrained value 2 consistent with spectral lambda 4"
 
 
+def _subspace_samples(basis: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """Unit amplitude rows drawn uniformly from the span of `basis`' columns."""
+    rng = np.random.default_rng(seed)
+    shape = (count, basis.shape[1])
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z @ basis.T
+
+
 @_check
 def bosonic_triangle_sampling():
     """10^5 states inside the bosonic-triangle subspace never push a cross
@@ -360,19 +361,9 @@ def bosonic_triangle_sampling():
     constraints = [
         extremal.Constraint(group_core.Pair.parse(p), +1) for p in ("AB", "AC", "BC")
     ]
-    basis = extremal.joint_eigenspace_basis(4, constraints)
-    rng = np.random.default_rng(31337)
-    z = rng.standard_normal((100000, basis.shape[1])) + 1j * rng.standard_normal(
-        (100000, basis.shape[1])
-    )
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    amps = z @ basis.T
-    pairs = group_core.canonical_pairs(4)
-    cross = [pairs.index(group_core.Pair.parse(p)) for p in ("AD", "BD", "CD")]
-    mappings = [group_core.exchange_operator(4, pairs[i]).mapping for i in cross]
-    lowest = min(
-        np.einsum("ij,ij->i", amps.conj(), amps[:, m]).real.min() for m in mappings
-    )
+    amps = _subspace_samples(extremal.joint_eigenspace_basis(4, constraints), 100000, 31337)
+    cross = [group_core.Pair.parse(p) for p in ("AD", "BD", "CD")]
+    lowest = observables.exchange_rows(amps, 4, cross).min()
     assert lowest >= -1.0 / 3.0 - STATE_TOL
     return f"min cross expectation {lowest:.9f} >= -1/3 - 1e-9"
 
@@ -386,20 +377,8 @@ def scenario_bounds_respected():
     )
     report = npartite.scenario_report(graph)
     constraints = [extremal.Constraint(p, v) for p, v in graph.fixed]
-    basis = extremal.joint_eigenspace_basis(4, constraints)
-    rng = np.random.default_rng(2718)
-    z = rng.standard_normal((20000, basis.shape[1])) + 1j * rng.standard_normal(
-        (20000, basis.shape[1])
-    )
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    amps = z @ basis.T
-    pairs = group_core.canonical_pairs(4)
-    lowest = min(
-        np.einsum(
-            "ij,ij->i", amps.conj(), amps[:, group_core.exchange_operator(4, p).mapping]
-        ).real.min()
-        for p in graph.free
-    )
+    amps = _subspace_samples(extremal.joint_eigenspace_basis(4, constraints), 20000, 2718)
+    lowest = observables.exchange_rows(amps, 4, graph.free).min()
     assert lowest >= -min(report.triangle_bound, report.spectral_bound) - STATE_TOL
     return f"sampled free-edge minimum {lowest:.9f} respects bound"
 

@@ -225,15 +225,9 @@ def named_state(name: str, **params) -> PureState:
         from . import observables  # deferred: observables imports this module
 
         try:
-            theta = params.pop("theta")
-            phi = params.pop("phi")
-            s1 = params.pop("s1")
-            s2 = params.pop("s2")
-        except KeyError as exc:
-            raise ValidationError(f"chi requires parameter {exc.args[0]!r}") from None
-        if params:
-            raise ValidationError(f"unexpected parameters {sorted(params)} for chi")
-        return observables.chi_state(theta, phi, s1, s2)
+            return observables.chi_state(**params)
+        except TypeError as exc:  # a missing, unexpected or non-numeric parameter
+            raise ValidationError(f"chi takes theta, phi, s1 and s2: {exc}") from None
     if params:
         raise ValidationError(f"state {name!r} takes no parameters")
     if name == "nontransitive_3_5":
@@ -256,7 +250,7 @@ def state_to_jsonable(state: PureState) -> dict:
 
 def state_from_jsonable(obj: dict) -> PureState:
     try:
-        n = int(obj["n"])
+        n = group_core.validate_box_count(obj["n"])
         ordering_kind = obj["ordering"]
         raw = obj["amplitudes"]
     except (KeyError, TypeError) as exc:
@@ -269,6 +263,8 @@ def state_from_jsonable(obj: dict) -> PureState:
         raise ValidationError(f"malformed amplitude list: {exc}") from None
     source = group_core.BasisOrdering(n, ordering_kind)
     canonical = group_core.BasisOrdering.canonical(n)
+    if amps.shape[0] != source.dim:
+        raise ValidationError(f"expected {source.dim} amplitudes for n = {n}, got {amps.shape[0]}")
     if source != canonical:
         permuted = np.empty_like(amps)
         for i, word in enumerate(source.words):

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_h
 
 import statmon
-from statmon.cli import main
+from statmon.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -176,3 +181,176 @@ def test_closed_output_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) in (0, 1, 2)
     assert b"Traceback" not in err
+
+
+# Each payload once crashed with a traceback or, worse, produced a report.
+MALFORMED = {
+    "scenario-fixed-is-a-list": ["scenario", "--file", {"n": 4, "fixed": [1, 2], "free": []}],
+    "scenario-n-not-a-number": ["scenario", "--file", {"n": "x", "fixed": {}, "free": []}],
+    "scenario-n-not-an-integer": ["scenario", "--file", {"n": 4.5, "fixed": {"AB": 1}, "free": ["AC"]}],
+    "scenario-fixed-rounds-to-one": [
+        "scenario", "--file", {"n": 4, "fixed": {"AB": 1.9, "AC": 1, "BC": 1}, "free": ["AD", "BD", "CD"]},
+    ],
+    "scenario-fixed-half": ["scenario", "--file", {"n": 4, "fixed": {"AB": -0.5, "CD": 1}, "free": ["AC"]}],
+    "scenario-fixed-boolean": ["scenario", "--file", {"n": 4, "fixed": {"AB": True, "CD": 1}, "free": ["AC"]}],
+    "scenario-free-not-a-label": ["scenario", "--file", {"n": 4, "fixed": {"AB": 1}, "free": [1]}],
+    "scenario-is-a-directory": ["scenario", "--file", "<dir>"],
+    "state-n-not-a-number": ["v", "--state", {"n": "a", "ordering": "paper3", "amplitudes": []}],
+    "state-too-few-amplitudes": ["v", "--state", {"n": 3, "ordering": "lex", "amplitudes": [[1, 0]]}],
+    "state-is-a-directory": ["v", "--state", "<dir>"],
+    "state-file-is-a-directory": ["state", "--file", "<dir>"],
+    "state-out-in-missing-directory": ["state", "--name", "eq5", "--out", "<missing>/x.json"],
+    "surface-out-is-a-directory": ["surface", "--theta-steps", "2", "--phi-steps", "2", "--out", "<dir>"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv):
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(str(arg).replace("<dir>", str(tmp_path)).replace("<missing>", str(tmp_path / "missing")))
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("statmon: error:")
+
+
+def _flags():
+    """Subcommand -> (required flags, optional flags), read from the parser."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for name, p in sub.choices.items():
+        if name == "selftest":
+            continue
+        required = [a.option_strings[-1] for a in p._actions if a.required]
+        optional = [
+            o for a in p._actions if not a.required and not isinstance(a, argparse._HelpAction)
+            for o in a.option_strings
+        ]
+        flags[name] = (required, optional)
+    return flags
+
+
+FLAGS = _flags()
+SMALL_INT = st_h.integers(-64, 64).map(str)
+# no "/", so that no value names a path outside the working directory, and
+# no NUL, which no shell can pass in an argument
+SHORT_TEXT = st_h.text(st_h.characters(blacklist_characters="/\x00"), max_size=8)
+VOCABULARY = st_h.sampled_from(
+    ["+", "-", "chi", "eq5", "nontransitive_3_5", "0.6,0.6,-0.6", "1,1,-1", "AB:1,BC:-1",
+     "BC:-1", "AB:1,CD:1", "AB=1", "AB=1,CD=-1", "AB=1,AB=-1", "0.5", "1.5707963267948966",
+     "nan", "inf", "-0", ".", ""]
+)
+JSON_LEAF = (
+    st_h.none() | st_h.booleans() | st_h.integers(-64, 64)
+    | st_h.floats(-2.0, 2.0) | SHORT_TEXT | st_h.sampled_from(["AB", "CD", "paper3", "lex"])
+)
+JSON_VALUE = st_h.recursive(
+    JSON_LEAF,
+    lambda inner: st_h.lists(inner, max_size=4) | st_h.dictionaries(SHORT_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+PAIR_LABEL = st_h.sampled_from(["AB", "AC", "BC", "AD", "BD", "CD", "AE", "DE", "AA", "ab"])
+SCENARIO = st_h.fixed_dictionaries({
+    "n": st_h.integers(2, 8),
+    "fixed": st_h.dictionaries(PAIR_LABEL, st_h.sampled_from([1, -1, 1.0, 1.9, -0.5, 0, True, "1"]), max_size=4),
+    "free": st_h.lists(PAIR_LABEL, max_size=4),
+})
+STATE = st_h.fixed_dictionaries({
+    "n": st_h.integers(2, 4),
+    "ordering": st_h.sampled_from(["paper3", "lex", "x"]),
+    "amplitudes": st_h.integers(0, 2).flatmap(
+        lambda k: st_h.just([[6 ** -0.5, 0.0]] * 6) if k
+        else st_h.lists(st_h.tuples(st_h.floats(-1.0, 1.0), st_h.floats(-1.0, 1.0)), max_size=7)
+    ),
+})
+
+
+class JsonFile:
+    """A payload the test writes to a temporary file, passing its path."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+
+UNIT = st_h.floats(-1.0, 1.0).map(repr)
+ANGLE = st_h.floats(0.0, 7.0).map(repr)
+SIGN = st_h.sampled_from(["+", "-", "1", "-1", "0"])
+WEIGHTS = st_h.dictionaries(PAIR_LABEL, st_h.integers(-64, 64), min_size=1, max_size=4)
+ANY_VALUE = SMALL_INT | SHORT_TEXT | VOCABULARY | st_h.one_of(JSON_VALUE, SCENARIO, STATE).map(JsonFile)
+
+
+def mostly(expected):
+    """Three draws in four from the values a flag expects, else anything."""
+    return st_h.integers(0, 3).flatmap(lambda k: expected if k else ANY_VALUE)
+
+
+# Values each flag expects, mixed with arbitrary ones; flags that set the
+# amount of work get only small numbers.
+FLAG_VALUE = {
+    "--name": mostly(st_h.sampled_from(statmon.states.NAMED_STATES)),
+    "--file": mostly(st_h.one_of(SCENARIO, STATE).map(JsonFile)),
+    "--state": mostly(STATE.map(JsonFile) | st_h.sampled_from(statmon.states.NAMED_STATES)),
+    "--theta": mostly(ANGLE),
+    "--phi": mostly(ANGLE),
+    "--s1": mostly(SIGN),
+    "--s2": mostly(SIGN),
+    "--v": mostly(st_h.lists(UNIT, min_size=3, max_size=3).map(",".join)),
+    "--seed": SMALL_INT,
+    "--n": SMALL_INT,
+    "--objective": mostly(WEIGHTS.map(lambda w: ",".join(f"{k}:{v}" for k, v in w.items()))),
+    "--fix": mostly(st_h.dictionaries(PAIR_LABEL, SIGN, max_size=3).map(
+        lambda f: ",".join(f"{k}={v}" for k, v in f.items())
+    )),
+    "--theta-steps": SMALL_INT,
+    "--phi-steps": SMALL_INT,
+    "--samples": st_h.integers(-64, 10**4).map(str),
+    "--theta-grid": SMALL_INT,
+    "--out": SHORT_TEXT | st_h.just("missing/x.json"),
+}
+
+
+@st_h.composite
+def argvs(draw):
+    command = draw(st_h.sampled_from(sorted(FLAGS)))
+    required, optional = FLAGS[command]
+    flags = [f for f in required if draw(st_h.integers(0, 9))]
+    if optional:
+        flags += draw(st_h.lists(st_h.sampled_from(optional), unique=True, max_size=4))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--mixed":
+            argv.append(draw(FLAG_VALUE[flag]))
+    if not draw(st_h.integers(0, 19)):
+        argv.append("--help")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("fuzz")
+    args = []
+    for k, arg in enumerate(argv):
+        if isinstance(arg, JsonFile):
+            path = work / f"input{k}.json"
+            path.write_text(json.dumps(arg.payload))
+            arg = path.name
+        args.append(arg)
+    here = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(args)
+    except SystemExit as exc:
+        assert exc.code == 0 and "--help" in args
+        return
+    finally:
+        os.chdir(here)
+    assert code in (0, 1, 2)

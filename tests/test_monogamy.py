@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from statmon import monogamy as mg
 from statmon import observables as ob
 from statmon import states as st
-from statmon.errors import ValidationError
+from statmon.errors import CapacityError, ValidationError
 
 
 def test_check_theta_examples():
@@ -150,3 +150,20 @@ def test_region_audit_validation():
         mg.region_audit(0, 1)
     with pytest.raises(ValidationError):
         mg.region_audit(10, 1, n=4)
+
+
+def test_surface_state_is_the_matching_mesh_row():
+    points = mg.surface_mesh(6, 4)
+    for p in points[::5]:
+        single = mg.surface_state(p.theta, p.phi, p.s1, p.s2)
+        assert np.array_equal(single.v, p.v)
+        assert np.array_equal(single.state.amplitudes, p.state.amplitudes)
+
+
+def test_grid_capacity_gates_refuse_before_allocating():
+    # 2**45 doubles (256 TiB) is beyond any address space: without the gate
+    # numpy raises MemoryError at once instead of touching memory
+    with pytest.raises(CapacityError):
+        mg.surface_mesh(2**45, 2)
+    with pytest.raises(CapacityError):
+        mg.theta_family_margin([0.0, 0.0, 0.0], 2**45)

@@ -163,3 +163,37 @@ def test_transitivity_of_perfect_simulation():
         v = ob.v_vector(psi)
         assert abs(v[0] - 1.0) < 1e-12 and abs(v[1] - 1.0) < 1e-12
         assert abs(v[2] - 1.0) < 1e-9
+
+
+def test_closed_form_boundary_vector_is_w_theta_eigenvector():
+    # theta up to the last double below 2pi, where the half-angle form must
+    # still give an eigenvector of W_theta and not of W_{theta - 2pi}
+    thetas = np.append(np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False), np.nextafter(2.0 * np.pi, 0.0))
+    amps = ob.chi_amplitudes(thetas, [np.pi / 2.0])  # phi = pi/2 leaves psi_theta alone
+    for i, theta in enumerate(thetas):
+        Wt = ob.w_theta(theta)
+        for k, s2 in enumerate((1, -1)):
+            psi = amps[i, 0, 0, k]
+            assert np.linalg.norm(Wt @ psi - s2 * psi) <= 1e-12
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+
+def test_chi_state_at_theta_zero_is_the_solver_w2_eigenvector():
+    dec = ob.symmetric_spectrum(ob.w_frame().W2)
+    for s2 in (1, -1):
+        psi0 = dec.eigenvectors[:, dec.cluster_slice(float(s2)).start]
+        assert np.abs(ob.chi_state(0.0, np.pi / 2.0, +1, s2).amplitudes - psi0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exchange_rows_matches_v_vector(n):
+    rng = np.random.default_rng(40 + n)
+    amps = st.random_amplitudes(n, 20, rng)
+    rows = ob.exchange_rows(amps, n)
+    subset = gc.canonical_pairs(n)[::-2]
+    picked = ob.exchange_rows(amps, n, subset)
+    for a, row, part in zip(amps, rows, picked):
+        v = ob.v_vector(st.PureState(n, a))
+        assert np.abs(row - v).max() <= 1e-12
+        expected = [v[gc.canonical_pairs(n).index(p)] for p in subset]
+        assert np.abs(part - expected).max() <= 1e-12
