@@ -41,6 +41,7 @@ from .group_core import (
 from .monogamy import (
     AuditReport,
     RegionCheck,
+    SurfaceMesh,
     SurfacePoint,
     check_sqrt,
     check_theta,

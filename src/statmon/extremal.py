@@ -18,7 +18,11 @@ from .errors import CapacityError, ConvergenceError, InfeasibleError, Validation
 
 KERNEL_TOL = 1e-10
 RESULT_TOL = 1e-9
+# Bounds every entry of the objective matrix; sums over a row of up to 5! = 120
+# entries and the symmetrization's doubling then stay far from overflow.
+WEIGHT_SUM_MAX = 1e300
 DENSE_EIG_MAX_BOXES = 5  # dense n! x n! eigensolves stop being desk scale at 6! = 720
+SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; temporaries add about 3x
 
 
 def _check_dense_capacity(n: int) -> None:
@@ -43,6 +47,12 @@ class Objective:
             raise ValidationError(f"expected {len(pairs)} weights for n = {n}, got {w.shape[0]}")
         if not np.all(np.isfinite(w)) or not np.any(w != 0.0):
             raise ValidationError("objective needs at least one finite nonzero weight")
+        with np.errstate(over="ignore"):
+            total = np.abs(w).sum()
+        if total > WEIGHT_SUM_MAX:
+            raise ValidationError(
+                f"objective weights must have absolute sum <= {WEIGHT_SUM_MAX:g}, got {total:g}"
+            )
         w.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", w)
@@ -60,6 +70,11 @@ class Objective:
         if unknown:
             raise ValidationError(f"pairs {sorted(map(str, unknown))} invalid for n = {n}")
         return cls(n, np.array([lookup.get(p, 0.0) for p in pairs]))
+
+    @property
+    def weight_sum(self) -> float:
+        """sum |c_XY|: a bound on every eigenvalue's magnitude."""
+        return float(np.abs(self.weights).sum())
 
     def matrix(self) -> np.ndarray:
         ops = group_core.all_exchange_operators(self.n)
@@ -107,6 +122,12 @@ def _package(value: float, vector: np.ndarray, degeneracy: int, n: int) -> Extre
     )
 
 
+def _check_eigenvalue_reproduced(objective: Objective, achieved: float, value: float) -> None:
+    # Roundoff in <psi|M|psi> grows with the entries of M, which sum |c_XY| bounds.
+    if abs(achieved - value) > RESULT_TOL * max(1.0, objective.weight_sum):
+        raise ConvergenceError(f"eigenstate misses its eigenvalue by {achieved - value:.2e}")
+
+
 def max_expectation(objective: Objective) -> ExtremalResult:
     """Largest achievable expectation of the objective over all states."""
     _check_dense_capacity(objective.n)
@@ -114,9 +135,7 @@ def max_expectation(objective: Objective) -> ExtremalResult:
     dec = symmetric_spectrum(M)
     value = float(dec.eigenvalues[0])
     result = _package(value, dec.eigenvectors[:, 0], dec.degeneracy(value), objective.n)
-    achieved = observables.expectation(result.state, M)
-    if abs(achieved - value) > RESULT_TOL:
-        raise ConvergenceError(f"eigenstate misses its eigenvalue by {achieved - value:.2e}")
+    _check_eigenvalue_reproduced(objective, observables.expectation(result.state, M), value)
     return result
 
 
@@ -172,6 +191,9 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     basis = joint_eigenspace_basis(objective.n, constraints)
     M = objective.matrix()
     restricted = basis.T @ M @ basis
+    # symmetric only to roundoff, which grows with the weights; symmetric_spectrum
+    # takes this same average after its absolute 1e-12 symmetry check
+    restricted = (restricted + restricted.T) / 2.0
     dec = symmetric_spectrum(restricted)
     value = float(dec.eigenvalues[0])
     vector = basis @ dec.eigenvectors[:, 0]
@@ -181,9 +203,7 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
         got = observables.expectation(result.state, op)
         if abs(got - c.value) > RESULT_TOL:
             raise ConvergenceError(f"solution violates v_{c.pair} = {c.value:+d}: got {got}")
-    achieved = observables.expectation(result.state, M)
-    if abs(achieved - value) > RESULT_TOL:
-        raise ConvergenceError(f"eigenstate misses its eigenvalue by {achieved - value:.2e}")
+    _check_eigenvalue_reproduced(objective, observables.expectation(result.state, M), value)
     return result
 
 
@@ -239,9 +259,15 @@ def random_search_max(
     if samples < restarts * rounds:
         raise ValidationError("sample budget too small for the restart schedule")
     dim = group_core.factorial_dim(objective.n)
-    rng = np.random.default_rng(seed)
     per = samples // (restarts * rounds)
     extra = samples - per * restarts * rounds
+    batch = per + (1 if extra else 0)  # the largest round's state count
+    if batch * dim * 16 > SEARCH_BATCH_MAX_BYTES:
+        raise CapacityError(
+            f"{samples} samples draw {batch} states of dimension {dim} per round, "
+            f"over the {SEARCH_BATCH_MAX_BYTES}-byte batch budget"
+        )
+    rng = np.random.default_rng(seed)
     best_val, best_amp = -np.inf, None
     for _ in range(restarts):
         local_val, local_amp, sigma = -np.inf, None, 1.0

@@ -13,10 +13,10 @@ states cos(phi)|+-> + sin(phi)|psi_theta^(+-)> realize every surface point.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import io
 import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +28,11 @@ MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
 THETA_GRID_DEFAULT = 720
 THETA_GRID_MAX = 2**20  # a few float arrays of this length: tens of MB
-MESH_MAX_ROWS = 2**20  # ~0.65 kB per SurfacePoint: about 0.7 GB at the cap
+MESH_MAX_ROWS = 2**20  # 120 MiB of arrays at the cap (amplitudes 96, v 24); about 180 MiB peak
+CSV_BLOCK_ROWS = 2**14  # rows formatted per write: about 1.3 MB of CSV text
 AUDIT_SHARD = 16384
+AUDIT_MAX_DRAWS = 2**30  # 65536 shards; at about 0.25 us per draw per core, minutes of work
+_SIGNS = (1, -1)  # s1/s2 values along the sign axes of observables.chi_amplitudes
 
 
 def _validate_v(v) -> np.ndarray:
@@ -109,29 +112,58 @@ class SurfacePoint:
     v: np.ndarray
 
 
-def _boundary_points(thetas, phis) -> list[SurfacePoint]:
-    """SurfacePoints for the (theta, phi, s1, s2) grid in that row order, each
-    verified to sit on the region surface to within 1e-9."""
-    amps = observables.chi_amplitudes(thetas, phis).reshape(-1, 6)
-    V = observables.exchange_rows(amps, 3)
-    worst = np.abs(_margins_of_v(V)).max()
-    if worst > BOUNDARY_TOL:
-        raise ConvergenceError(f"surface state missed the boundary by {worst:.2e}; solver bug")
-    params = itertools.product(thetas, phis, (1, -1), (1, -1))
-    return [
-        SurfacePoint(float(theta), float(phi), s1, s2, states.PureState(3, a), v)
-        for (theta, phi, s1, s2), a, v in zip(params, amps, V)
-    ]
+class SurfaceMesh(Sequence):
+    """Boundary mesh rows in (theta, phi, s1, s2) order, held as arrays.
+
+    `thetas`, `phis`, `amplitudes` (N, 6) and `v` (N, 3) are read-only.
+    Indexing and iteration build a row's SurfacePoint, with its validated
+    PureState, only when asked; slices give lists, as for a list of points.
+    Every row is checked on construction: amplitudes finite and of unit norm
+    to states.NORM_TOL, and v on the region surface to within 1e-9.
+    """
+
+    def __init__(self, thetas, phis):
+        self.thetas = np.array(thetas, dtype=np.float64)
+        self.phis = np.array(phis, dtype=np.float64)
+        amps = observables.chi_amplitudes(self.thetas, self.phis).reshape(-1, 6)
+        norm_error = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
+        if not (norm_error <= states.NORM_TOL).all():  # NaN compares false: non-finite rows fail
+            worst = norm_error.max()
+            raise ConvergenceError(f"surface amplitudes miss unit norm by {worst:.2e}; solver bug")
+        V = observables.exchange_rows(amps, 3)
+        worst = np.abs(_margins_of_v(V)).max()
+        if worst > BOUNDARY_TOL:
+            raise ConvergenceError(f"surface state missed the boundary by {worst:.2e}; solver bug")
+        self.amplitudes, self.v = amps, V
+        for arr in (self.thetas, self.phis, amps, V):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.v.shape[0]
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]  # list semantics: numpy ints, negatives, IndexError
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        t, p, i1, i2 = np.unravel_index(rows, (len(self.thetas), len(self.phis), 2, 2))
+        return SurfacePoint(
+            float(self.thetas[t]),
+            float(self.phis[p]),
+            _SIGNS[i1],
+            _SIGNS[i2],
+            states.PureState(3, self.amplitudes[rows]),
+            self.v[rows],
+        )
 
 
 def surface_state(theta: float, phi: float, s1, s2) -> SurfacePoint:
     """Construct the boundary state for the given parameters and verify that
     its v-vector sits on the region surface to within 1e-9."""
     row = 2 * observables.sign_index(s1) + observables.sign_index(s2)
-    return _boundary_points([theta], [phi])[row]
+    return SurfaceMesh([theta], [phi])[row]
 
 
-def surface_mesh(theta_steps: int, phi_steps: int) -> list[SurfacePoint]:
+def surface_mesh(theta_steps: int, phi_steps: int) -> SurfaceMesh:
     """Boundary mesh over theta in [0, pi) x phi in [0, pi/2] x both sign
     choices; rows are ordered (theta, phi, s1, s2).
 
@@ -146,18 +178,25 @@ def surface_mesh(theta_steps: int, phi_steps: int) -> list[SurfacePoint]:
         raise CapacityError(f"mesh has 4 x {theta_steps} x {phi_steps} rows, over {MESH_MAX_ROWS}")
     thetas = np.arange(theta_steps) * (np.pi / theta_steps)
     phis = np.linspace(0.0, np.pi / 2.0, phi_steps)
-    return _boundary_points(thetas, phis)
+    return SurfaceMesh(thetas, phis)
 
 
-def write_mesh_csv(points, stream) -> None:
-    """CSV columns: v_AB,v_BC,v_AC,theta,phi,s1,s2 (12 significant digits)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["v_AB", "v_BC", "v_AC", "theta", "phi", "s1", "s2"])
-    for p in points:
-        writer.writerow(
-            [f"{x:.12g}" for x in (*p.v, p.theta, p.phi)]
-            + [("+" if p.s1 > 0 else "-"), ("+" if p.s2 > 0 else "-")]
-        )
+def write_mesh_csv(points: SurfaceMesh, stream) -> None:
+    """CSV columns: v_AB,v_BC,v_AC,theta,phi,s1,s2 (12 significant digits).
+
+    Only `stream.write` is called, once for the header and once per block
+    of CSV_BLOCK_ROWS rows, so the text in memory stays bounded.
+    """
+    stream.write("v_AB,v_BC,v_AC,theta,phi,s1,s2\n")
+    signs = ("+,+", "+,-", "-,+", "-,-")
+    params = itertools.product(points.thetas.tolist(), points.phis.tolist(), signs)
+    for start in range(0, len(points), CSV_BLOCK_ROWS):
+        block = points.v[start : start + CSV_BLOCK_ROWS].tolist()
+        # block comes first so that zip stops without consuming a parameter row
+        stream.write("".join(
+            "%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % (a, b, c, theta, phi, s)
+            for (a, b, c), (theta, phi, s) in zip(block, params)
+        ))
 
 
 def mesh_csv_text(points) -> str:
@@ -240,6 +279,10 @@ def region_audit(
         raise ValidationError("the membership audit is defined for n = 3")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    if samples + mixed_samples > AUDIT_MAX_DRAWS:
+        raise CapacityError(
+            f"audit of {samples} + {mixed_samples} draws is over the budget of {AUDIT_MAX_DRAWS}"
+        )
     if threads is None:
         threads = default_thread_count()
 

@@ -242,7 +242,7 @@ def rotational_symmetry():
     """Rotating boundary points about the (1,1,1) axis preserves margin 0."""
     rng = np.random.default_rng(321)
     worst = 0.0
-    points = [p.v for p in monogamy.surface_mesh(8, 5)]
+    points = list(monogamy.surface_mesh(8, 5).v)
     points.append(observables.v_vector(states.named_state("eq5")))
     points.append(observables.v_vector(states.named_state("nontransitive_3_5")))
     for v in points:
@@ -257,13 +257,12 @@ def double_cone_geometry():
     """|w1.v| plus the radial part equals 1 on the surface; apexes at
     +-(1,1,1)."""
     f = observables.w_frame()
-    pts = monogamy.surface_mesh(12, 7)
+    V = monogamy.surface_mesh(12, 7).v
     worst = 0.0
-    for p in pts:
-        axial = abs(f.w1 @ p.v)
-        radial = np.hypot(f.w2 @ p.v, f.w3 @ p.v)
+    for v in V:
+        axial = abs(f.w1 @ v)
+        radial = np.hypot(f.w2 @ v, f.w3 @ v)
         worst = max(worst, abs(axial + radial - 1.0))
-    V = np.array([p.v for p in pts])
     for apex in (np.ones(3), -np.ones(3)):
         assert np.linalg.norm(V - apex, axis=1).min() <= 1e-12
     assert worst <= STATE_TOL

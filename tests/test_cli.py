@@ -99,6 +99,49 @@ def test_surface_csv(tmp_path, capsys):
     assert len(lines) == 1 + 4 * 3 * 4
 
 
+def test_surface_csv_matches_golden(capsys):
+    code, out, _ = run(capsys, "surface", "--theta-steps", "4", "--phi-steps", "3")
+    assert code == 0
+    golden = (Path(__file__).parent / "golden" / "surface_4x3.csv").read_text().split("\n")
+    lines = out.split("\n")
+    assert lines[0] == golden[0]
+    assert len(lines) == len(golden) == 1 + 4 * 3 * 4 + 1
+    for got, want in zip(lines[1:-1], golden[1:-1]):
+        got, want = got.split(","), want.split(",")
+        assert got[3:] == want[3:]  # theta, phi, s1, s2 as exact text
+        assert np.abs(np.array(got[:3], dtype=float) - np.array(want[:3], dtype=float)).max() <= 1e-12
+
+
+# Weights this large once failed an absolute 1e-9 eigenvalue check (or, for a
+# constrained n = 4 problem at 1e4, an absolute symmetry check) with valid input.
+@pytest.mark.parametrize(
+    "argv, unit_argv, scale",
+    [
+        (["--objective", "AB:1e10"], ["--objective", "AB:1"], 1e10),
+        (["--fix", "AB=1", "--objective", "BC:1e10"], ["--fix", "AB=1", "--objective", "BC:1"], 1e10),
+        (["--objective", "AB:1e200,BC:1e200"], ["--objective", "AB:1,BC:1"], 1e200),
+        (
+            ["--fix", "AB=1,CD=-1", "--objective", "BC:1e4,AD:-3e4"],
+            ["--fix", "AB=1,CD=-1", "--objective", "BC:1,AD:-3"],
+            1e4,
+        ),
+    ],
+)
+def test_extremal_value_scales_with_large_weights(capsys, argv, unit_argv, scale):
+    code, out, _ = run(capsys, "extremal", *argv)
+    assert code == 0
+    _, unit_out, _ = run(capsys, "extremal", *unit_argv)
+    expected = json.loads(unit_out)["value"] * scale
+    assert abs(json.loads(out)["value"] - expected) <= 1e-9 * abs(expected)
+
+
+@pytest.mark.parametrize("weights", ["AB:1e308,BC:1e308", "AB:6e299,BC:6e299"])
+def test_extremal_refuses_weight_sum_over_budget(capsys, weights):
+    code, out, err = run(capsys, "extremal", "--objective", weights)
+    assert code == 1 and out == ""
+    assert "statmon: error: objective weights must have absolute sum" in err
+
+
 def test_audit_json_and_exit(capsys):
     code, out, _ = run(capsys, "audit", "--samples", "2000", "--seed", "42", "--mixed")
     assert code == 0

@@ -177,3 +177,11 @@ def test_result_json_schema():
     payload = result.to_jsonable()
     assert set(payload) == {"value", "degeneracy", "state", "v"}
     assert payload["state"]["ordering"] == "paper3"
+
+
+def test_random_search_batch_budget_refuses_before_drawing():
+    # 2**50 samples make a round of about 2**44 states: without the gate
+    # numpy refuses the petabyte-sized draw outright with MemoryError
+    obj = ex.Objective.from_pairs(3, {"AB": 1.0})
+    with pytest.raises(CapacityError):
+        ex.random_search_max(obj, 2**50)

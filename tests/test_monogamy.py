@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from statmon import monogamy as mg
 from statmon import observables as ob
 from statmon import states as st
-from statmon.errors import CapacityError, ValidationError
+from statmon.errors import CapacityError, ConvergenceError, ValidationError
 
 
 def test_check_theta_examples():
@@ -167,3 +167,78 @@ def test_grid_capacity_gates_refuse_before_allocating():
         mg.surface_mesh(2**45, 2)
     with pytest.raises(CapacityError):
         mg.theta_family_margin([0.0, 0.0, 0.0], 2**45)
+
+
+def _csv_one_point_at_a_time(points):
+    rows = ["v_AB,v_BC,v_AC,theta,phi,s1,s2\n"]
+    for p in points:
+        fields = [f"{x:.12g}" for x in (*p.v, p.theta, p.phi)]
+        rows.append(",".join(fields + ["+" if p.s1 > 0 else "-", "+" if p.s2 > 0 else "-"]) + "\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("block_rows", [mg.CSV_BLOCK_ROWS, 5])
+def test_mesh_csv_matches_per_point_formatting(monkeypatch, block_rows):
+    # 84 rows: with 5-row blocks the last block is partial
+    monkeypatch.setattr(mg, "CSV_BLOCK_ROWS", block_rows)
+    mesh = mg.surface_mesh(7, 3)
+    assert mg.mesh_csv_text(mesh) == _csv_one_point_at_a_time(mesh)
+
+
+def _same_point(p, q):
+    return (
+        (p.theta, p.phi, p.s1, p.s2) == (q.theta, q.phi, q.s1, q.s2)
+        and np.array_equal(p.v, q.v)
+        and np.array_equal(p.state.amplitudes, q.state.amplitudes)
+    )
+
+
+def test_mesh_indexing_matches_list_semantics():
+    mesh = mg.surface_mesh(4, 3)
+    points = [mesh[i] for i in range(len(mesh))]
+    assert len(mesh) == len(points) == 48
+    assert all(_same_point(p, q) for p, q in zip(mesh, points))
+    for index in (np.int64(7), np.intp(0), -1, -48, -13):
+        assert _same_point(mesh[index], points[index])
+    slices = (slice(2, 9, 3), slice(None, None, -5), slice(-4, None), slice(np.int64(1), 3), slice(50, 60))
+    for index in slices:
+        got, want = mesh[index], points[index]
+        assert isinstance(got, list) and len(got) == len(want)
+        assert all(_same_point(p, q) for p, q in zip(got, want))
+    for index in (48, -49, np.int64(48)):
+        with pytest.raises(IndexError):
+            mesh[index]
+    with pytest.raises(TypeError):
+        mesh[1.0]
+    with pytest.raises(ValueError):
+        mesh.v[0, 0] = 0.0  # the arrays are read-only
+
+
+@pytest.mark.parametrize("corrupt", [1.0 + 1e-6, np.nan])
+def test_corrupted_mesh_amplitudes_fail_the_norm_check(monkeypatch, corrupt):
+    real = ob.chi_amplitudes
+
+    def corrupted(thetas, phis):
+        amps = real(thetas, phis)
+        amps[0, -1, 0, 1] *= corrupt
+        return amps
+
+    monkeypatch.setattr(ob, "chi_amplitudes", corrupted)
+    with pytest.raises(ConvergenceError, match="unit norm"):
+        mg.surface_mesh(3, 2)
+    with pytest.raises(ConvergenceError, match="unit norm"):
+        mg.surface_state(0.5, 0.5, +1, -1)
+
+
+def test_audit_draw_budget_refuses_before_sharding(monkeypatch):
+    # just over the budget the shard list is small: without the gate the
+    # first shard runs and raises at once
+    def shard(*args):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(mg, "_pure_shard", shard)
+    monkeypatch.setattr(mg, "_mixed_shard", shard)
+    with pytest.raises(CapacityError):
+        mg.region_audit(mg.AUDIT_MAX_DRAWS + 1, 1)
+    with pytest.raises(CapacityError):
+        mg.region_audit(1, 1, mixed_samples=mg.AUDIT_MAX_DRAWS)
