@@ -169,9 +169,7 @@ def _cmd_surface(args) -> int:
 
 def _cmd_audit(args) -> int:
     mixed = args.samples // 10 if args.mixed else 0
-    report = monogamy.region_audit(
-        args.samples, args.seed, mixed_samples=mixed, threads=monogamy.default_thread_count()
-    )
+    report = monogamy.region_audit(args.samples, args.seed, mixed_samples=mixed)
     _emit(report.to_jsonable())
     return EXIT_OK if report.violations == 0 else EXIT_OUTSIDE
 

@@ -26,27 +26,36 @@ SIGN_TIE_TOL = 1e-9
 class SpectralDecomposition:
     """Eigenvalues in descending order with orthonormal eigenvector columns.
 
-    The solver diagnostics come along: `residual` is max |A - V diag(w) V^T|,
-    `gram_error` is max |V^T V - I|, and `min_gap` is the smallest gap
-    between adjacent eigenvalue clusters split at CLUSTER_GAP (inf when
-    there is one cluster).
+    The solver diagnostics come along: `residual` is max |A - V diag(w) V^T|
+    and `gram_error` is max |V^T V - I|.  Eigenvalues within the cluster
+    width CLUSTER_GAP * `scale` count as one cluster, so rescaling A leaves
+    the clusters alone.  `scale` is max |A|; a caller that decomposes the
+    restriction of a larger matrix sets it to that matrix's max |entry|,
+    because the restriction can be pure roundoff.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float
     gram_error: float
-    min_gap: float
+    scale: float
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @property
+    def min_gap(self) -> float:
+        """Smallest gap between adjacent clusters (inf when there is one)."""
+        gaps = self.eigenvalues[:-1] - self.eigenvalues[1:]
+        return float(gaps[gaps > CLUSTER_GAP * self.scale].min(initial=np.inf))
+
     def cluster_slice(self, value: float) -> slice:
         """Index range of the eigenvalue cluster containing `value`."""
-        close = np.abs(self.eigenvalues - value) <= CLUSTER_GAP
+        width = CLUSTER_GAP * self.scale
+        close = np.abs(self.eigenvalues - value) <= width
         if not close.any():
-            raise ConvergenceError(f"no eigenvalue within {CLUSTER_GAP} of {value}")
+            raise ConvergenceError(f"no eigenvalue within {width:.3g} of {value}")
         idx = np.nonzero(close)[0]
         return slice(int(idx[0]), int(idx[-1]) + 1)
 
@@ -118,7 +127,8 @@ def symmetric_spectrum(matrix) -> SpectralDecomposition:
         raise ContractError("matrix is not symmetric within 1e-12")
     d = A.shape[0]
     A = (A + A.T) / 2.0
-    tolerance = RESIDUAL_TOL * max(1.0, np.abs(A).max())
+    scale = float(np.abs(A).max())
+    tolerance = RESIDUAL_TOL * max(1.0, scale)
 
     eigenvalues, V = np.linalg.eigh(A)
     order = np.argsort(-eigenvalues, kind="stable")
@@ -126,10 +136,8 @@ def symmetric_spectrum(matrix) -> SpectralDecomposition:
     V = V[:, order]
     # Eigenvalues closer than tolerance/d count as one eigenspace: a cluster
     # then spans less than the tolerance, so replacing its basis keeps the
-    # reconstruction within it.  CLUSTER_GAP is too wide for this.
+    # reconstruction within it.  The cluster width is too wide for this.
     _canonicalize(eigenvalues, V, tolerance / d)
-    gaps = eigenvalues[:-1] - eigenvalues[1:]
-    min_gap = float(gaps[gaps >= CLUSTER_GAP].min(initial=np.inf))
 
     gram = float(np.abs(V.T @ V - np.eye(d)).max(initial=0.0))
     residual = float(np.abs(A - (V * eigenvalues) @ V.T).max(initial=0.0))
@@ -139,7 +147,7 @@ def symmetric_spectrum(matrix) -> SpectralDecomposition:
         )
     eigenvalues.setflags(write=False)
     V.setflags(write=False)
-    return SpectralDecomposition(eigenvalues, V, residual, gram, min_gap)
+    return SpectralDecomposition(eigenvalues, V, residual, gram, scale)
 
 
 def hermitian_min_eigenvalue(matrix) -> float:

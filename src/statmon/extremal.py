@@ -8,7 +8,7 @@ problem restricted to the joint constraint eigenspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,7 +194,9 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     # symmetric only to roundoff, which grows with the weights; symmetric_spectrum
     # takes this same average after its absolute 1e-12 symmetry check
     restricted = (restricted + restricted.T) / 2.0
-    dec = symmetric_spectrum(restricted)
+    # cluster at the full objective's scale, max |c_XY|: the restriction can be
+    # pure roundoff, as for AB - CD on the v_AB = v_CD = +1 eigenspace
+    dec = replace(symmetric_spectrum(restricted), scale=float(np.abs(objective.weights).max()))
     value = float(dec.eigenvalues[0])
     vector = basis @ dec.eigenvectors[:, 0]
     result = _package(value, vector, dec.degeneracy(value), objective.n)

@@ -266,27 +266,23 @@ class ExchangeOperator(PermutationOperator):
 
 
 @lru_cache(maxsize=None)
-def exchange_operator(n: int, pair: Pair, kind: str = "canonical") -> ExchangeOperator:
+def exchange_operator(n: int, pair: Pair) -> ExchangeOperator:
     """The exchange operator for one box pair on the canonical basis."""
-    return ExchangeOperator(BasisOrdering(n, kind), pair)
+    return ExchangeOperator(BasisOrdering.canonical(n), pair)
 
 
-def all_exchange_operators(n: int, kind: str = "canonical") -> tuple[ExchangeOperator, ...]:
+def all_exchange_operators(n: int) -> tuple[ExchangeOperator, ...]:
     """Exchange operators for every canonical pair, in canonical pair order."""
-    return tuple(exchange_operator(n, p, kind) for p in canonical_pairs(n))
+    return tuple(exchange_operator(n, p) for p in canonical_pairs(n))
 
 
-def cyclic_operator(n: int = 3, kind: str = "canonical") -> PermutationOperator:
+def cyclic_operator() -> PermutationOperator:
     """Three-box cyclic relabeling, defined as the product Π_AB·Π_BC.
 
     The same operator equals Π_AC·Π_AB and Π_BC·Π_AC, cubes to the
     identity, and acts on the reference word as ABC -> BCA.
     """
-    if n != 3:
-        raise ValidationError("the cyclic operator is defined for n = 3 only")
-    pi_ab = exchange_operator(3, Pair(0, 1), kind)
-    pi_bc = exchange_operator(3, Pair(1, 2), kind)
-    return pi_ab.compose(pi_bc)
+    return exchange_operator(3, Pair(0, 1)).compose(exchange_operator(3, Pair(1, 2)))
 
 
 def factorial_dim(n: int) -> int:

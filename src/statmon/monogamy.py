@@ -227,20 +227,20 @@ def _margins_of_v(V: np.ndarray) -> np.ndarray:
     return 1.0 - (np.abs(V @ w1) + np.hypot(V @ w2, V @ w3))
 
 
-def _pure_shard(seed: int, index: int, count: int, n: int) -> tuple[float, int]:
+def _pure_shard(seed: int, index: int, count: int) -> tuple[float, int]:
     rng = np.random.default_rng([seed, 0, index])
-    amps = states.random_amplitudes(n, count, rng)
-    margins = _margins_of_v(observables.exchange_rows(amps, n))
+    amps = states.random_amplitudes(3, count, rng)
+    margins = _margins_of_v(observables.exchange_rows(amps, 3))
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
-def _mixed_shard(seed: int, index: int, count: int, n: int) -> tuple[float, int]:
+def _mixed_shard(seed: int, index: int, count: int) -> tuple[float, int]:
     rng = np.random.default_rng([seed, 1, index])
-    a = states.random_amplitudes(n, count, rng)
-    b = states.random_amplitudes(n, count, rng)
+    a = states.random_amplitudes(3, count, rng)
+    b = states.random_amplitudes(3, count, rng)
     weight = rng.uniform(0.0, 1.0, size=count)[:, None]
     # v is linear in the density matrix, so a two-component mixture's v is
     # the weighted average of the components' v-vectors
-    V = weight * observables.exchange_rows(a, n) + (1.0 - weight) * observables.exchange_rows(b, n)
+    V = weight * observables.exchange_rows(a, 3) + (1.0 - weight) * observables.exchange_rows(b, 3)
     margins = _margins_of_v(V)
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
@@ -261,12 +261,11 @@ def default_thread_count() -> int:
 def region_audit(
     samples: int,
     seed: int,
-    n: int = 3,
     mixed_samples: int = 0,
     threads: int | None = None,
 ) -> AuditReport:
-    """Sample random pure states (and optionally two-component mixtures) and
-    check every v-vector against the sqrt-form membership test.
+    """Sample random three-box pure states (and optionally two-component
+    mixtures) and check every v-vector against the sqrt-form membership test.
 
     Work is split into fixed-size shards with per-shard RNG streams derived
     from (seed, kind, shard index), so results are independent of the thread
@@ -275,8 +274,6 @@ def region_audit(
     samples, mixed_samples = int(samples), int(mixed_samples)
     if samples < 1 or mixed_samples < 0:
         raise ValidationError("audit needs at least one pure sample")
-    if n != 3:
-        raise ValidationError("the membership audit is defined for n = 3")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     if samples + mixed_samples > AUDIT_MAX_DRAWS:
@@ -298,10 +295,10 @@ def region_audit(
     if threads > 1 and len(jobs) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
-                pool.map(lambda j: j[0](seed, j[1], j[2], n), jobs)
+                pool.map(lambda j: j[0](seed, j[1], j[2]), jobs)
             )
     else:
-        results = [kind(seed, index, count, n) for kind, index, count in jobs]
+        results = [kind(seed, index, count) for kind, index, count in jobs]
 
     min_margin = min(r[0] for r in results)
     violations = sum(r[1] for r in results)

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import extremal, group_core, monogamy, states
-from .errors import CapacityError, InfeasibleError, ValidationError
+from .errors import ConvergenceError, InfeasibleError, ValidationError
 
 PATTERN_TOL = 1e-9
 BOUND_PREDICATE_TOL = 1e-12
-SPECTRAL_MAX_BOXES = extremal.DENSE_EIG_MAX_BOXES
-BISECTION_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,11 @@ def _triangle_x_bound(slots) -> float:
     """Largest x in [0, 1] keeping the slot pattern inside the region.
 
     The membership lhs is convex in x, so the feasible set is an interval
-    anchored at the fixed-only pattern; bisection on the boundary predicate
-    resolves the endpoint far below any reported tolerance.
+    anchored at the fixed-only pattern.  With fixed slots at +-1 and free
+    slots at -x, every pattern feasible at x = 0 ends that interval at 1 or
+    at 1/2 (exactly one fixed +1 edge: the boson-forces-fermion limit), so
+    the bound is the larger of the two inside the region.  The region must
+    end there, which is checked at x + 1e-9.
     """
 
     def margin(x: float) -> float:
@@ -154,16 +155,10 @@ def _triangle_x_bound(slots) -> float:
 
     if margin(0.0) < -BOUND_PREDICATE_TOL:
         raise InfeasibleError(f"fixed edges alone violate the region: pattern {slots}")
-    if margin(1.0) >= -BOUND_PREDICATE_TOL:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_STEPS):
-        mid = (lo + hi) / 2.0
-        if margin(mid) >= -BOUND_PREDICATE_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    x = next((b for b in (1.0, 0.5) if margin(b) >= -BOUND_PREDICATE_TOL), None)
+    if x is None or (x < 1.0 and margin(x + 1e-9) >= 0.0):
+        raise ConvergenceError(f"pattern {slots}: the region does not end at x = 1 or 1/2")
+    return x
 
 
 def triangle_bounds(graph: ScenarioGraph) -> float:
@@ -207,10 +202,6 @@ def spectral_bound(graph: ScenarioGraph) -> ScenarioBound:
     the scenario is feasible iff lambda reaches F.  The top eigenstate's
     v-vector is checked against the scenario pattern.
     """
-    if graph.n > SPECTRAL_MAX_BOXES:
-        raise CapacityError(
-            f"spectral bound supports n <= {SPECTRAL_MAX_BOXES}, got {graph.n}"
-        )
     objective = _scenario_objective(graph)
     top = extremal.max_expectation(objective)
     lam = top.value
@@ -256,14 +247,4 @@ def scenario_report(graph: ScenarioGraph) -> ScenarioBound:
     improvement = None
     if tri is not None and spectral.spectral_bound is not None:
         improvement = bool(spectral.spectral_bound < tri - PATTERN_TOL)
-    return ScenarioBound(
-        n=graph.n,
-        triangle_bound=tri,
-        spectral_bound=spectral.spectral_bound,
-        lambda_max=spectral.lambda_max,
-        improvement=improvement,
-        feasible=spectral.feasible,
-        pattern_attained=spectral.pattern_attained,
-        attaining_state=spectral.attaining_state,
-        attaining_v=spectral.attaining_v,
-    )
+    return replace(spectral, triangle_bound=tri, improvement=improvement)

@@ -14,7 +14,9 @@ EXACT = 0.0
 ALGEBRA_TOL = 1e-12
 STATE_TOL = 1e-9
 
-_REGISTRY: list = []
+# Every invariant the suite asserts, in the order `statmon selftest` runs
+# and prints them; tier-1 runs each one as a test under its own name.
+CHECKS: list = []
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,7 @@ class CheckResult:
 
 
 def _check(fn):
-    _REGISTRY.append(fn)
+    CHECKS.append(fn)
     return fn
 
 
@@ -45,6 +47,8 @@ def exchange_involutions():
             assert np.array_equal(op.mapping[op.mapping], identity)
             assert not np.any(op.mapping == identity)
             assert op == op.inverse()
+            M = op.matrix()
+            assert np.array_equal(M, M.T)
     return "checked n=2..5, all pairs, exact integer arithmetic"
 
 
@@ -55,6 +59,7 @@ def cyclic_identities():
                   (group_core.Pair(0, 1), group_core.Pair(1, 2), group_core.Pair(0, 2)))
     s = group_core.cyclic_operator()
     assert s == ab.compose(bc) == ac.compose(ab) == bc.compose(ac)
+    assert np.array_equal(s.matrix(), ab.matrix() @ bc.matrix())
     assert s.compose(s).compose(s).is_identity()
     assert group_core.word_label(s.ordering.index_to_word(int(s.mapping[0]))) == "BCA"
     return "product identities and S^3 = 1 hold exactly"
@@ -63,12 +68,16 @@ def cyclic_identities():
 @_check
 def cyclic_spectrum():
     """Cycle type (3, 3) pins the spectrum to both primitive cube roots of
-    unity and 1, each twice."""
+    unity and 1, each twice; a complex eigensolve confirms it independently."""
     s = group_core.cyclic_operator()
     assert s.cycle_type() == (3, 3)
     assert not s.is_identity()
     M = s.matrix()
     assert np.trace(M) == 0.0 and np.trace(M @ M) == 0.0
+    roots = np.exp(2j * np.pi * np.arange(3) / 3)
+    distance = np.abs(np.linalg.eigvals(M.astype(complex))[:, None] - roots)
+    assert distance.min(axis=1).max() <= ALGEBRA_TOL
+    assert np.bincount(distance.argmin(axis=1), minlength=3).tolist() == [2, 2, 2]
     return "cycle type (3,3): eigenvalues {1, w, conj(w)} with multiplicity 2"
 
 
@@ -79,7 +88,7 @@ def exchange_spectrum():
         op = group_core.exchange_operator(3, pair)
         assert op.cycle_type() == (2, 2, 2)
         dec = symmetric_spectrum(op.matrix())
-        assert np.abs(dec.eigenvalues - np.array([1, 1, 1, -1, -1, -1])).max() < STATE_TOL
+        assert np.abs(dec.eigenvalues - np.array([1, 1, 1, -1, -1, -1])).max() <= ALGEBRA_TOL
     return "cycle type (2,2,2) and solver spectra agree"
 
 
@@ -114,7 +123,8 @@ def mixture_invariants():
     sym = states.named_state("sym_plus")
     anti = states.named_state("antisym_minus")
     rho = states.MixedState.from_mixture([0.5, 0.5], [sym, anti])
-    assert np.abs(observables.v_vector(rho)).max() <= STATE_TOL
+    assert np.abs(observables.v_vector(rho)).max() <= ALGEBRA_TOL
+    assert abs(np.trace(rho.matrix) - 1.0) <= ALGEBRA_TOL
     parts = [states.random_pure_state(3, seed) for seed in (11, 12, 13)]
     states.MixedState.from_mixture([0.2, 0.5, 0.3], parts)
     return "convex mixtures satisfy Hermiticity, trace and positivity"
@@ -132,7 +142,7 @@ def w_algebra():
         np.abs(f.W2 @ f.W2 - f.W3 @ f.W3).max(),
     ]
     W2sq = f.W2 @ f.W2
-    for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+    for theta in (*np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False), 0.3, 1.7, 4.0):
         Wt = observables.w_theta(theta)
         residues.append(np.abs(Wt @ Wt - W2sq).max())
     worst = max(residues)
@@ -144,7 +154,7 @@ def w_algebra():
 def w_spectra():
     f = observables.w_frame()
     dec = symmetric_spectrum(f.W1)
-    assert np.abs(dec.eigenvalues - np.array([1, 0, 0, 0, 0, -1])).max() <= STATE_TOL
+    assert np.abs(dec.eigenvalues - np.array([1, 0, 0, 0, 0, -1])).max() <= ALGEBRA_TOL
     sets = []
     for M in (f.W2, f.W3):
         vals = symmetric_spectrum(M).eigenvalues
@@ -190,8 +200,8 @@ def perfect_simulation_transitive():
             eps = 1e-7
             psi = states.PureState(3, np.sqrt(1 - eps**2) * base + eps * noise)
             v = observables.v_vector(psi)
-            if abs(v[0] - sign) < 1e-12 and abs(v[1] - sign) < 1e-12:
-                assert abs(v[2] - sign) <= STATE_TOL
+            assert abs(v[0] - sign) < ALGEBRA_TOL and abs(v[1] - sign) < ALGEBRA_TOL
+            assert abs(v[2] - sign) <= STATE_TOL
     return "perturbed perfect pairs stay transitive within 1e-9"
 
 
@@ -287,6 +297,7 @@ def boundary_states_on_surface():
         s1, s2 = rng.choice([-1, 1]), rng.choice([-1, 1])
         point = monogamy.surface_state(theta, phi, s1, s2)
         worst = max(worst, abs(monogamy.check_sqrt(point.v)))
+        assert abs(point.state.norm() - 1.0) <= ALGEBRA_TOL
     assert worst <= STATE_TOL
     return f"50 random boundary states, |margin| <= {worst:.1e}"
 
@@ -309,17 +320,26 @@ def extremal_oracle_consistency():
 
 @_check
 def constrained_extremal_contracts():
-    pair_ab = group_core.Pair(0, 1)
-    objective = extremal.Objective.from_pairs(3, {"BC": -1.0})
-    constraints = [extremal.Constraint(pair_ab, +1)]
-    bound = extremal.constrained_extremal(constraints, objective)
-    free = extremal.max_expectation(objective)
-    assert bound.value <= free.value + 1e-9
-    assert monogamy.check_sqrt(bound.v) >= -monogamy.MEMBERSHIP_TOL
-    P = extremal.constraint_projector(3, constraints)
-    op = group_core.exchange_operator(3, pair_ab).matrix()
-    assert np.abs(P @ P - P).max() <= 1e-10
-    assert np.abs(P @ op - op @ P).max() <= 1e-10
+    """v_AB = +1 never raises the maximum; the AB and AB+BC constraint
+    eigenspaces have dimensions 3 and 1, with idempotent commuting projectors."""
+    ab = [extremal.Constraint(group_core.Pair(0, 1), +1)]
+    bc = [extremal.Constraint(group_core.Pair(1, 2), +1)]
+    rng = np.random.default_rng(15)
+    objectives = [extremal.Objective.from_pairs(3, {"BC": -1.0})]
+    objectives += [extremal.Objective(3, rng.standard_normal(3)) for _ in range(5)]
+    for objective in objectives:
+        bound = extremal.constrained_extremal(ab, objective)
+        assert bound.value <= extremal.max_expectation(objective).value + 1e-9
+        assert monogamy.check_sqrt(bound.v) >= -monogamy.MEMBERSHIP_TOL
+    for constraints, dim in ((ab, 3), (ab + bc, 1)):
+        basis = extremal.joint_eigenspace_basis(3, constraints)
+        assert basis.shape == (6, dim)
+        P = extremal.constraint_projector(3, constraints)
+        assert np.abs(P @ P - P).max() <= 1e-10
+        for c in constraints:
+            op = group_core.exchange_operator(3, c.pair).matrix()
+            assert np.abs(P @ op - op @ P).max() <= 1e-10
+            assert np.abs(op @ basis - c.value * basis).max() <= 1e-10
     return "constrained <= unconstrained; projector idempotent and commuting"
 
 
@@ -384,7 +404,7 @@ def scenario_bounds_respected():
 
 def run_selftest() -> list[CheckResult]:
     results = []
-    for fn in _REGISTRY:
+    for fn in CHECKS:
         name = fn.__name__
         try:
             detail = fn()

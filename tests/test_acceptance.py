@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines; every tolerance is pinned here, not in helper code.
+lines.  Criterion 4, the operator algebra, runs checks of the selftest
+registry (`statmon.selftest.CHECKS`), which pins their tolerances; every
+other criterion pins its tolerances here.
 """
 
 import numpy as np
@@ -12,10 +14,10 @@ from statmon import group_core as gc
 from statmon import monogamy as mg
 from statmon import npartite as npx
 from statmon import observables as ob
+from statmon import selftest
 from statmon import states as st
 
 TOL = 1e-9
-ALGEBRA_TOL = 1e-12
 
 
 def _line(criterion, detail):
@@ -61,30 +63,8 @@ def test_c03_nontransitive_point():
 
 
 def test_c04_operator_algebra_suite():
-    ab, bc, ac = (gc.exchange_operator(3, p) for p in gc.canonical_pairs(3))
-    s = gc.cyclic_operator()
-    assert s == ab.compose(bc) == ac.compose(ab) == bc.compose(ac)
-    assert s.compose(s).compose(s).is_identity()
-
-    f = ob.w_frame()
-    residues = [
-        np.abs(f.W1 @ f.W2 - f.W2 @ f.W1).max(),
-        np.abs(f.W1 @ f.W3 - f.W3 @ f.W1).max(),
-        np.abs(f.W1 @ f.W2).max(),
-        np.abs(f.W1 @ f.W3).max(),
-        np.abs(f.W2 @ f.W3 + f.W3 @ f.W2).max(),
-        np.abs(f.W2 @ f.W2 - f.W3 @ f.W3).max(),
-    ]
-    W2sq = f.W2 @ f.W2
-    for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-        residues.append(np.abs(ob.w_theta(theta) @ ob.w_theta(theta) - W2sq).max())
-    worst = max(residues)
-    assert worst <= ALGEBRA_TOL
-
-    spectrum = ob.symmetric_spectrum(f.W1).eigenvalues
-    assert np.abs(spectrum - np.array([1.0, 0, 0, 0, 0, -1.0])).max() <= ALGEBRA_TOL
-    _line(4, f"cyclic identities exact; W-algebra residues <= {worst:.1e}; "
-             f"W1 spectrum (+1, 0x4, -1)")
+    details = [selftest.cyclic_identities(), selftest.w_algebra(), selftest.w_spectra()]
+    _line(4, "; ".join(details))
 
 
 def test_c05_region_soundness():

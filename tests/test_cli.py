@@ -14,6 +14,7 @@ from hypothesis import strategies as st_h
 
 import statmon
 from statmon.cli import build_parser, main
+from statmon.selftest import CHECKS
 
 
 def run(capsys, *argv):
@@ -205,7 +206,7 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     lines = [l for l in out.strip().split("\n") if l.startswith("PASS")]
-    assert len(lines) >= 20
+    assert len(lines) == len(CHECKS)
 
 
 def test_closed_output_pipe_exits_quietly():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from statmon import extremal as ex
 from statmon import group_core as gc
@@ -88,33 +90,12 @@ def test_two_boson_constraints_force_transitivity():
     assert np.abs(result.v - 1.0).max() < 1e-9
 
 
-def test_constrained_never_beats_unconstrained():
-    rng = np.random.default_rng(15)
-    for _ in range(5):
-        obj = ex.Objective(3, rng.standard_normal(3))
-        free = ex.max_expectation(obj).value
-        bound = ex.constrained_extremal([ex.Constraint(P("AB"), +1)], obj).value
-        assert bound <= free + 1e-9
-
-
 def test_extremal_states_are_physical():
     rng = np.random.default_rng(16)
     for _ in range(5):
         obj = ex.Objective(3, rng.standard_normal(3))
         result = ex.max_expectation(obj)
         assert mg.check_sqrt(result.v) >= -1e-9
-
-
-def test_joint_eigenspace_and_projector():
-    constraints = [ex.Constraint(P("AB"), +1), ex.Constraint(P("BC"), +1)]
-    basis = ex.joint_eigenspace_basis(3, constraints)
-    assert basis.shape == (6, 1)  # only the fully symmetric state survives
-    Pmat = ex.constraint_projector(3, constraints)
-    assert np.abs(Pmat @ Pmat - Pmat).max() < 1e-10
-    for c in constraints:
-        M = gc.exchange_operator(3, c.pair).matrix()
-        assert np.abs(Pmat @ M - M @ Pmat).max() < 1e-10
-        assert np.abs(M @ basis - c.value * basis).max() < 1e-10
 
 
 def test_infeasible_constraints():
@@ -185,3 +166,38 @@ def test_random_search_batch_budget_refuses_before_drawing():
     obj = ex.Objective.from_pairs(3, {"AB": 1.0})
     with pytest.raises(CapacityError):
         ex.random_search_max(obj, 2**50)
+
+
+@pytest.mark.parametrize(
+    "fixed, coefficients, degeneracy",
+    [
+        ({}, {"AB": 1, "CD": 1}, 6),
+        ({}, {"AB": 1e10, "CD": 1e10}, 6),
+        ({}, {"AB": 1e-10, "CD": 2e-10}, 6),
+        ({}, {"AB": 1.234, "CD": 1.234, "AC": -0.3}, 2),
+        ({}, {"AB": 1.234e10, "CD": 1.234e10, "AC": -0.3e10}, 2),
+        ({"AB": 1}, {"AB": 1e-12, "CD": 2e-12}, 6),
+        # the restriction of AB - CD to v_AB = v_CD = +1 is roundoff around 0
+        ({"AB": 1, "CD": 1}, {"AB": 1, "CD": -1}, 6),
+    ],
+)
+def test_degeneracy_is_scale_free(fixed, coefficients, degeneracy):
+    objective = ex.Objective.from_pairs(4, coefficients)
+    constraints = [ex.Constraint(P(p), s) for p, s in fixed.items()]
+    result = ex.constrained_extremal(constraints, objective) if fixed else ex.max_expectation(objective)
+    assert result.degeneracy == degeneracy
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=hst.sampled_from([3, 4]),
+    raw=hst.lists(hst.floats(-1.0, 1.0), min_size=6, max_size=6),
+    k=hst.integers(-12, 12),
+)
+def test_rescaled_weights_keep_degeneracy_and_value(n, raw, k):
+    weights = np.array(raw[: len(gc.canonical_pairs(n))])
+    assume(np.abs(weights).max() >= 1e-3)
+    unit = ex.max_expectation(ex.Objective(n, weights))
+    scaled = ex.max_expectation(ex.Objective(n, weights * 10.0**k))
+    assert scaled.degeneracy == unit.degeneracy
+    assert abs(scaled.value / 10.0**k - unit.value) <= 1e-9 * abs(unit.value)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from statmon import group_core as gc
@@ -61,54 +60,6 @@ def test_exchange_operator_n3_swaps_first_two_words():
 def test_exchange_operator_n2():
     op = gc.exchange_operator(2, gc.Pair(0, 1))
     assert list(op.mapping) == [1, 0]
-
-
-def test_exchange_operators_fixed_point_free():
-    # exhaustive over all 6 words and 3 pairs at n = 3
-    for pair in gc.canonical_pairs(3):
-        op = gc.exchange_operator(3, pair)
-        assert not np.any(op.mapping == np.arange(6))
-
-
-def test_exchange_operator_involution_and_symmetry():
-    for n in (2, 3, 4, 5):
-        identity = np.arange(gc.factorial_dim(n))
-        for pair in gc.canonical_pairs(n):
-            op = gc.exchange_operator(n, pair)
-            assert np.array_equal(op.mapping[op.mapping], identity)
-            M = op.matrix()
-            assert np.array_equal(M, M.T)
-
-
-def test_cyclic_operator_identities_exact():
-    ab, bc, ac = (gc.exchange_operator(3, p) for p in gc.canonical_pairs(3))
-    s = gc.cyclic_operator()
-    assert s == ab.compose(bc)
-    assert s == ac.compose(ab)
-    assert s == bc.compose(ac)
-    assert np.array_equal(s.matrix(), ab.matrix() @ bc.matrix())
-    assert s.compose(s).compose(s).is_identity()
-
-
-def test_cyclic_operator_action_on_reference_word():
-    s = gc.cyclic_operator()
-    ordering = s.ordering
-    assert gc.word_label(ordering.index_to_word(int(s.mapping[0]))) == "BCA"
-
-
-def test_cyclic_spectrum_is_cube_roots_of_unity():
-    # two 3-cycles on the words means eigenvalues {1, w, conj(w)} twice each;
-    # cross-check with a complex eigensolve as an independent route
-    s = gc.cyclic_operator()
-    assert s.cycle_type() == (3, 3)
-    eig = np.linalg.eigvals(s.matrix().astype(complex))
-    expected = np.array([1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)] * 2)
-    assert np.allclose(np.sort_complex(eig), np.sort_complex(expected), atol=1e-12)
-
-
-def test_cyclic_operator_requires_three_boxes():
-    with pytest.raises(ValidationError):
-        gc.cyclic_operator(4)
 
 
 def test_capacity_limits():

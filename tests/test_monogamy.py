@@ -79,19 +79,6 @@ def test_surface_state_examples():
     assert np.abs(equator.v - np.array([1.0, -0.5, -0.5])).max() < 1e-9
 
 
-def test_surface_state_boundary_invariant():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        point = mg.surface_state(
-            rng.uniform(0, 2 * np.pi),
-            rng.uniform(0, np.pi / 2),
-            rng.choice([-1, 1]),
-            rng.choice([-1, 1]),
-        )
-        assert abs(mg.check_sqrt(point.v)) < 1e-9
-        assert abs(point.state.norm() - 1.0) < 1e-12
-
-
 def test_surface_mesh_properties():
     points = mg.surface_mesh(16, 9)
     assert len(points) == 16 * 9 * 4
@@ -148,8 +135,6 @@ def test_mixtures_of_boundary_states_stay_inside():
 def test_region_audit_validation():
     with pytest.raises(ValidationError):
         mg.region_audit(0, 1)
-    with pytest.raises(ValidationError):
-        mg.region_audit(10, 1, n=4)
 
 
 def test_surface_state_is_the_matching_mesh_row():

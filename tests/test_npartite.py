@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from statmon import extremal as ex
 from statmon import group_core as gc
+from statmon import monogamy as mg
 from statmon import npartite as npx
 from statmon.errors import CapacityError, InfeasibleError, ValidationError
 
@@ -28,12 +31,44 @@ def test_scenario_json_round_trip():
 
 def test_triangle_bounds_two_boson_scenario():
     graph = npx.ScenarioGraph.from_jsonable(FIG2A)
-    assert abs(npx.triangle_bounds(graph) - 0.5) < 1e-9
+    assert abs(npx.triangle_bounds(graph) - 0.5) <= 1e-15
 
 
 def test_triangle_bounds_boson_triangle_scenario():
     graph = npx.ScenarioGraph.from_jsonable(FIG2B)
-    assert abs(npx.triangle_bounds(graph) - 0.5) < 1e-9
+    assert abs(npx.triangle_bounds(graph) - 0.5) <= 1e-15
+
+
+def _bisected_x_bound(slots):
+    """Reference: bisect the membership predicate along x for 80 steps."""
+
+    def inside(x):
+        return mg.check_sqrt([-x if s is None else s for s in slots]) >= -npx.BOUND_PREDICATE_TOL
+
+    if not inside(0.0):
+        raise InfeasibleError(f"pattern {slots} is infeasible at x = 0")
+    lo, hi = 0.0, 1.0
+    if inside(hi):
+        return hi
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [list(p) for p in itertools.product((1.0, -1.0, None), repeat=3) if None in p],
+    ids=lambda slots: "".join({1.0: "+", -1.0: "-", None: "x"}[s] for s in slots),
+)
+def test_triangle_x_bound_matches_bisection(slots):
+    try:
+        expected = _bisected_x_bound(slots)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            npx._triangle_x_bound(slots)
+        return
+    assert abs(npx._triangle_x_bound(slots) - expected) <= 1e-9
 
 
 def test_triangle_bounds_requires_free_edges():

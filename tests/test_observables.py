@@ -61,50 +61,6 @@ def test_w_theta_endpoints_exact():
     assert np.abs(ob.w_theta(np.pi / 2.0) - f.W3).max() < 1e-15
 
 
-def test_w_theta_square_is_theta_independent():
-    f = ob.w_frame()
-    W2sq = f.W2 @ f.W2
-    for theta in (0.3, 1.7, 4.0):
-        Wt = ob.w_theta(theta)
-        assert np.abs(Wt @ Wt - W2sq).max() < 1e-12
-
-
-def test_w_algebra_identities():
-    f = ob.w_frame()
-    assert np.abs(f.W1 @ f.W2 - f.W2 @ f.W1).max() < 1e-12
-    assert np.abs(f.W1 @ f.W3 - f.W3 @ f.W1).max() < 1e-12
-    assert np.abs(f.W1 @ f.W2).max() < 1e-12
-    assert np.abs(f.W1 @ f.W3).max() < 1e-12
-    assert np.abs(f.W2 @ f.W3 + f.W3 @ f.W2).max() < 1e-12
-    assert np.abs(f.W2 @ f.W2 - f.W3 @ f.W3).max() < 1e-12
-
-
-def test_w1_spectrum():
-    dec = ob.symmetric_spectrum(ob.w_frame().W1)
-    assert np.abs(dec.eigenvalues - np.array([1.0, 0, 0, 0, 0, -1.0])).max() < 1e-12
-
-
-def test_w23_eigenvalues_in_unit_set():
-    for M in (ob.w_frame().W2, ob.w_frame().W3):
-        vals = ob.symmetric_spectrum(M).eigenvalues
-        assert np.abs(vals - np.round(vals)).max() < 1e-9
-        assert set(np.round(vals).astype(int)) <= {-1, 0, 1}
-
-
-def test_exchange_operator_spectrum():
-    dec = ob.symmetric_spectrum(AB.matrix())
-    assert np.abs(dec.eigenvalues - np.array([1, 1, 1, -1, -1, -1])).max() < 1e-12
-
-
-def test_w_projection_matches_v():
-    f = ob.w_frame()
-    for seed in range(50):
-        psi = st.random_pure_state(3, 1000 + seed)
-        v = ob.v_vector(psi)
-        for w, W in zip(f.vectors(), f.matrices()):
-            assert abs(ob.expectation(psi, W) - w @ v) < 1e-10
-
-
 def test_chi_state_expectations():
     # phi = 0 collapses to the symmetric/antisymmetric state
     chi = ob.chi_state(1.2, 0.0, +1, -1)
@@ -150,19 +106,6 @@ def test_bunching_probability():
     assert ob.bunching_probability(0.6) > 0.75
     with pytest.raises(ValidationError):
         ob.bunching_probability(1.5)
-
-
-def test_transitivity_of_perfect_simulation():
-    rng = np.random.default_rng(7)
-    sym = st.named_state("sym_plus").amplitudes
-    for _ in range(10):
-        noise = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        noise -= np.vdot(sym, noise) * sym
-        noise /= np.linalg.norm(noise)
-        psi = st.PureState(3, np.sqrt(1.0 - 1e-14) * sym + 1e-7 * noise)
-        v = ob.v_vector(psi)
-        assert abs(v[0] - 1.0) < 1e-12 and abs(v[1] - 1.0) < 1e-12
-        assert abs(v[2] - 1.0) < 1e-9
 
 
 def test_closed_form_boundary_vector_is_w_theta_eigenvector():

@@ -47,13 +47,6 @@ def test_named_state_v_vectors():
         assert np.abs(v - np.array(expected)).max() < 1e-12, name
 
 
-def test_named_states_normalized():
-    for name in st.NAMED_STATES:
-        if name == "chi":
-            continue
-        assert abs(st.named_state(name).norm() - 1.0) < 1e-12
-
-
 def test_named_state_unknown():
     with pytest.raises(ValidationError):
         st.named_state("nope")
@@ -61,15 +54,6 @@ def test_named_state_unknown():
         st.named_state("eq5", theta=1.0)
     with pytest.raises(ValidationError):
         st.named_state("chi", theta=0.1, phi=0.1, s1=+1)  # missing s2
-
-
-def test_sym_antisym_eigenvectors():
-    sym = st.named_state("sym_plus")
-    anti = st.named_state("antisym_minus")
-    for pair in gc.canonical_pairs(3):
-        op = gc.exchange_operator(3, pair)
-        assert np.abs(st.apply(op, sym).amplitudes - sym.amplitudes).max() < 1e-12
-        assert np.abs(st.apply(op, anti).amplitudes + anti.amplitudes).max() < 1e-12
 
 
 def test_apply_eigenstates_and_involution():
@@ -107,15 +91,6 @@ def test_equal_up_to_global_phase():
     assert st.equal_up_to_global_phase(psi, rotated)
     other = st.random_pure_state(3, 6)
     assert not st.equal_up_to_global_phase(psi, other)
-
-
-def test_mixed_state_from_mixture():
-    sym = st.named_state("sym_plus")
-    anti = st.named_state("antisym_minus")
-    rho = st.MixedState.from_mixture([0.5, 0.5], [sym, anti])
-    assert np.abs(ob.v_vector(rho)).max() < 1e-12
-    tr = complex(np.trace(rho.matrix))
-    assert abs(tr - 1.0) < 1e-12
 
 
 def test_mixed_state_rejects_bad_matrices():
