@@ -7,6 +7,7 @@ from statmon import extremal as ex
 from statmon import group_core as gc
 from statmon import monogamy as mg
 from statmon import observables as ob
+from statmon import selftest
 from statmon.errors import CapacityError, InfeasibleError, ValidationError
 
 P = gc.Pair.parse
@@ -88,6 +89,15 @@ def test_two_boson_constraints_force_transitivity():
     )
     assert abs(result.value + 1.0) < 1e-9
     assert np.abs(result.v - 1.0).max() < 1e-9
+
+
+# These run the selftest check that asserts each contract.
+def test_constrained_never_beats_unconstrained():
+    selftest.constrained_extremal_contracts()
+
+
+def test_joint_eigenspace_and_projector():
+    selftest.constrained_extremal_contracts()
 
 
 def test_extremal_states_are_physical():

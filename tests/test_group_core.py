@@ -1,6 +1,7 @@
 import pytest
 
 from statmon import group_core as gc
+from statmon import selftest
 from statmon.errors import CapacityError, ValidationError
 
 
@@ -60,6 +61,23 @@ def test_exchange_operator_n3_swaps_first_two_words():
 def test_exchange_operator_n2():
     op = gc.exchange_operator(2, gc.Pair(0, 1))
     assert list(op.mapping) == [1, 0]
+
+
+# These run the selftest check that asserts each invariant.
+def test_exchange_operators_fixed_point_free():
+    selftest.exchange_involutions()
+
+
+def test_exchange_operator_involution_and_symmetry():
+    selftest.exchange_involutions()
+
+
+def test_cyclic_operator_identities_exact():
+    selftest.cyclic_identities()
+
+
+def test_cyclic_operator_action_on_reference_word():
+    selftest.cyclic_identities()
 
 
 def test_capacity_limits():

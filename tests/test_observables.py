@@ -3,6 +3,7 @@ import pytest
 
 from statmon import group_core as gc
 from statmon import observables as ob
+from statmon import selftest
 from statmon import states as st
 from statmon.errors import ContractError, ValidationError
 
@@ -59,6 +60,23 @@ def test_w_theta_endpoints_exact():
     f = ob.w_frame()
     assert np.array_equal(ob.w_theta(0.0), f.W2)
     assert np.abs(ob.w_theta(np.pi / 2.0) - f.W3).max() < 1e-15
+
+
+# These run the selftest check that asserts each invariant.
+def test_w_theta_square_is_theta_independent():
+    selftest.w_algebra()
+
+
+def test_w_algebra_identities():
+    selftest.w_algebra()
+
+
+def test_w1_spectrum():
+    selftest.w_spectra()
+
+
+def test_w23_eigenvalues_in_unit_set():
+    selftest.w_spectra()
 
 
 def test_chi_state_expectations():
