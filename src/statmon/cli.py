@@ -138,9 +138,8 @@ def _cmd_state(args) -> int:
         state = _resolve_state(args.file)
     payload = states.state_to_jsonable(state)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(_round_floats(payload), indent=2) + "\n", encoding="utf-8"
-        )
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _emit(payload, fh)
     else:
         _emit(payload)
     return EXIT_OK

@@ -23,13 +23,7 @@ RESULT_TOL = 1e-9
 WEIGHT_SUM_MAX = 1e300
 DENSE_EIG_MAX_BOXES = 5  # dense n! x n! eigensolves stop being desk scale at 6! = 720
 SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; temporaries add about 3x
-
-
-def _check_dense_capacity(n: int) -> None:
-    if n > DENSE_EIG_MAX_BOXES:
-        raise CapacityError(
-            f"dense eigenvalue problems support n <= {DENSE_EIG_MAX_BOXES}, got {n}"
-        )
+SEARCH_SHRINK = 0.55  # random_search_max narrows its spread by this factor each round
 
 
 @dataclass(frozen=True)
@@ -115,28 +109,10 @@ class ExtremalResult:
         }
 
 
-def _package(value: float, vector: np.ndarray, degeneracy: int, n: int) -> ExtremalResult:
-    state = states.normalize(vector.astype(np.complex128), n)
-    return ExtremalResult(
-        value=float(value), state=state, degeneracy=degeneracy, v=observables.v_vector(state)
-    )
-
-
-def _check_eigenvalue_reproduced(objective: Objective, achieved: float, value: float) -> None:
-    # Roundoff in <psi|M|psi> grows with the entries of M, which sum |c_XY| bounds.
-    if abs(achieved - value) > RESULT_TOL * max(1.0, objective.weight_sum):
-        raise ConvergenceError(f"eigenstate misses its eigenvalue by {achieved - value:.2e}")
-
-
 def max_expectation(objective: Objective) -> ExtremalResult:
-    """Largest achievable expectation of the objective over all states."""
-    _check_dense_capacity(objective.n)
-    M = objective.matrix()
-    dec = symmetric_spectrum(M)
-    value = float(dec.eigenvalues[0])
-    result = _package(value, dec.eigenvectors[:, 0], dec.degeneracy(value), objective.n)
-    _check_eigenvalue_reproduced(objective, observables.expectation(result.state, M), value)
-    return result
+    """Largest achievable expectation of the objective over all states: the
+    constrained problem with no constraints."""
+    return constrained_extremal((), objective)
 
 
 def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
@@ -149,7 +125,10 @@ def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
     CapacityError for n above the dense limit before allocating anything.
     """
     n = group_core.validate_box_count(n)
-    _check_dense_capacity(n)
+    if n > DENSE_EIG_MAX_BOXES:
+        raise CapacityError(
+            f"dense eigenvalue problems support n <= {DENSE_EIG_MAX_BOXES}, got {n}"
+        )
     constraints = list(constraints)
     if not constraints:
         return np.eye(group_core.factorial_dim(n))
@@ -189,8 +168,7 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     """
     constraints = list(constraints)
     basis = joint_eigenspace_basis(objective.n, constraints)
-    M = objective.matrix()
-    restricted = basis.T @ M @ basis
+    restricted = basis.T @ objective.matrix() @ basis
     # symmetric only to roundoff, which grows with the weights; symmetric_spectrum
     # takes this same average after its absolute 1e-12 symmetry check
     restricted = (restricted + restricted.T) / 2.0
@@ -199,14 +177,18 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     dec = replace(symmetric_spectrum(restricted), scale=float(np.abs(objective.weights).max()))
     value = float(dec.eigenvalues[0])
     vector = basis @ dec.eigenvectors[:, 0]
-    result = _package(value, vector, dec.degeneracy(value), objective.n)
+    state = states.normalize(vector.astype(np.complex128), objective.n)
+    v = observables.v_vector(state)
+    pairs = group_core.canonical_pairs(objective.n)
     for c in constraints:
-        op = group_core.exchange_operator(objective.n, c.pair)
-        got = observables.expectation(result.state, op)
+        got = v[pairs.index(c.pair)]
         if abs(got - c.value) > RESULT_TOL:
             raise ConvergenceError(f"solution violates v_{c.pair} = {c.value:+d}: got {got}")
-    _check_eigenvalue_reproduced(objective, observables.expectation(result.state, M), value)
-    return result
+    # <psi|M|psi> = c.v; its roundoff grows with the entries of M, which sum |c_XY| bounds
+    achieved = v @ objective.weights
+    if abs(achieved - value) > RESULT_TOL * max(1.0, objective.weight_sum):
+        raise ConvergenceError(f"eigenstate misses its eigenvalue by {achieved - value:.2e}")
+    return ExtremalResult(value=value, state=state, degeneracy=dec.degeneracy(value), v=v)
 
 
 def symmetric_ray_extreme(direction) -> float:
@@ -247,7 +229,6 @@ def random_search_max(
     seed: int = 0,
     restarts: int = 5,
     rounds: int = 12,
-    shrink: float = 0.55,
 ) -> tuple[float, states.PureState]:
     """Brute-force check of max_expectation: best c.v over randomly sampled
     states only, no eigensolver involved.
@@ -284,7 +265,7 @@ def random_search_max(
             i = int(np.argmax(vals))
             if vals[i] > local_val:
                 local_val, local_amp = float(vals[i]), z[i]
-            sigma *= shrink
+            sigma *= SEARCH_SHRINK
         if local_val > best_val:
             best_val, best_amp = local_val, local_amp
     return best_val, states.PureState(objective.n, best_amp)

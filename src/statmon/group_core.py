@@ -124,10 +124,8 @@ class BasisOrdering:
 
     __slots__ = ("n", "kind", "words", "_index")
 
-    def __init__(self, n: int, kind: str = "canonical"):
+    def __init__(self, n: int, kind: str):
         n = validate_box_count(n)
-        if kind == "canonical":
-            kind = "paper3" if n == 3 else "lex"
         if kind == "paper3":
             if n != 3:
                 raise ValidationError("ordering 'paper3' is defined only for n = 3")
@@ -148,7 +146,7 @@ class BasisOrdering:
     @classmethod
     @lru_cache(maxsize=None)
     def canonical(cls, n: int) -> "BasisOrdering":
-        return cls(n, "canonical")
+        return cls(n, "paper3" if n == 3 else "lex")
 
     def word_to_index(self, word) -> int:
         w = validate_word(word, self.n)

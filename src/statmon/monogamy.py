@@ -227,25 +227,25 @@ def _margins_of_v(V: np.ndarray) -> np.ndarray:
     return 1.0 - (np.abs(V @ w1) + np.hypot(V @ w2, V @ w3))
 
 
-def _pure_shard(seed: int, index: int, count: int) -> tuple[float, int]:
-    rng = np.random.default_rng([seed, 0, index])
-    amps = states.random_amplitudes(3, count, rng)
-    margins = _margins_of_v(observables.exchange_rows(amps, 3))
-    return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
-
-def _mixed_shard(seed: int, index: int, count: int) -> tuple[float, int]:
-    rng = np.random.default_rng([seed, 1, index])
-    a = states.random_amplitudes(3, count, rng)
-    b = states.random_amplitudes(3, count, rng)
-    weight = rng.uniform(0.0, 1.0, size=count)[:, None]
-    # v is linear in the density matrix, so a two-component mixture's v is
-    # the weighted average of the components' v-vectors
-    V = weight * observables.exchange_rows(a, 3) + (1.0 - weight) * observables.exchange_rows(b, 3)
+def _shard(seed: int, mixed: bool, index: int, count: int) -> tuple[float, int]:
+    """Minimum margin and violation count of one shard of pure states or,
+    when `mixed`, of two-component mixtures."""
+    rng = np.random.default_rng([seed, int(mixed), index])
+    V = observables.exchange_rows(states.random_amplitudes(3, count, rng), 3)
+    if mixed:
+        b = states.random_amplitudes(3, count, rng)
+        weight = rng.uniform(0.0, 1.0, size=count)[:, None]
+        # v is linear in the density matrix, so a two-component mixture's v is
+        # the weighted average of the components' v-vectors
+        V = weight * V + (1.0 - weight) * observables.exchange_rows(b, 3)
     margins = _margins_of_v(V)
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
 
 def default_thread_count() -> int:
+    """STATMON_THREADS, capped at the hardware thread count (the default):
+    more threads than cores only hold more shard arrays at once."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("STATMON_THREADS")
     if env:
         try:
@@ -254,16 +254,11 @@ def default_thread_count() -> int:
             raise ValidationError(f"STATMON_THREADS must be an integer, got {env!r}")
         if threads < 1:
             raise ValidationError("STATMON_THREADS must be >= 1")
-        return threads
-    return os.cpu_count() or 1
+        return min(threads, cores)
+    return cores
 
 
-def region_audit(
-    samples: int,
-    seed: int,
-    mixed_samples: int = 0,
-    threads: int | None = None,
-) -> AuditReport:
+def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport:
     """Sample random three-box pure states (and optionally two-component
     mixtures) and check every v-vector against the sqrt-form membership test.
 
@@ -280,31 +275,17 @@ def region_audit(
         raise CapacityError(
             f"audit of {samples} + {mixed_samples} draws is over the budget of {AUDIT_MAX_DRAWS}"
         )
-    if threads is None:
-        threads = default_thread_count()
+    jobs = [
+        (mixed, index, min(AUDIT_SHARD, total - start))
+        for mixed, total in ((False, samples), (True, mixed_samples))
+        for index, start in enumerate(range(0, total, AUDIT_SHARD))
+    ]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=default_thread_count()) as pool:
+        results = list(pool.map(lambda job: _shard(seed, *job), jobs))
 
-    jobs = []
-    for kind, total in ((_pure_shard, samples), (_mixed_shard, mixed_samples)):
-        index = 0
-        while total > 0:
-            count = min(AUDIT_SHARD, total)
-            jobs.append((kind, index, count))
-            total -= count
-            index += 1
-
-    if threads > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda j: j[0](seed, j[1], j[2]), jobs)
-            )
-    else:
-        results = [kind(seed, index, count) for kind, index, count in jobs]
-
-    min_margin = min(r[0] for r in results)
-    violations = sum(r[1] for r in results)
     return AuditReport(
         samples=samples + mixed_samples,
         seed=int(seed),
-        min_margin=min_margin,
-        violations=violations,
+        min_margin=min(r[0] for r in results),
+        violations=sum(r[1] for r in results),
     )

@@ -8,12 +8,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import eigh, group_core
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
+DENSITY_MAX_BYTES = 2**24  # one n! x n! complex density matrix: n = 6 takes 8.3 MB, n = 7 0.4 GB
 
 NAMED_STATES = (
     "sym_plus",
@@ -125,6 +126,17 @@ def random_pure_state(n: int, seed: int) -> PureState:
     return PureState(n, random_amplitudes(n, 1, rng)[0])
 
 
+def _check_density_capacity(n: int) -> int:
+    """n! for a density matrix within DENSITY_MAX_BYTES; CapacityError otherwise."""
+    dim = group_core.factorial_dim(n)
+    if dim * dim * 16 > DENSITY_MAX_BYTES:
+        raise CapacityError(
+            f"a density matrix for n = {n} takes {dim * dim * 16} bytes, "
+            f"over the {DENSITY_MAX_BYTES}-byte budget"
+        )
+    return dim
+
+
 class MixedState:
     """Hermitian, unit-trace, positive-semidefinite density matrix."""
 
@@ -132,8 +144,8 @@ class MixedState:
 
     def __init__(self, n: int, matrix):
         n = group_core.validate_box_count(n)
+        dim = _check_density_capacity(n)
         rho = np.array(matrix, dtype=np.complex128)
-        dim = group_core.factorial_dim(n)
         if rho.shape != (dim, dim):
             raise ValidationError(f"expected a {dim}x{dim} matrix for n = {n}, got {rho.shape}")
         if np.abs(rho - rho.conj().T).max(initial=0.0) > HERMITICITY_TOL:
@@ -157,7 +169,8 @@ class MixedState:
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError("mixture weights must be nonnegative and sum to 1")
         n = states[0].n
-        rho = np.zeros((states[0].dim, states[0].dim), dtype=np.complex128)
+        dim = _check_density_capacity(n)
+        rho = np.zeros((dim, dim), dtype=np.complex128)
         for wk, psi in zip(w, states):
             if psi.n != n:
                 raise ValidationError("all mixture components must share the same n")
@@ -243,7 +256,7 @@ def state_to_jsonable(state: PureState) -> dict:
     """Schema: {"n": int, "ordering": "paper3"|"lex", "amplitudes": [[re, im], ...]}."""
     return {
         "n": state.n,
-        "ordering": "paper3" if state.n == 3 else "lex",
+        "ordering": state.ordering.kind,
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
     }
 

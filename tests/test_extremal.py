@@ -211,3 +211,35 @@ def test_rescaled_weights_keep_degeneracy_and_value(n, raw, k):
     scaled = ex.max_expectation(ex.Objective(n, weights * 10.0**k))
     assert scaled.degeneracy == unit.degeneracy
     assert abs(scaled.value / 10.0**k - unit.value) <= 1e-9 * abs(unit.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=hst.sampled_from([3, 4, 5]),
+    raw=hst.lists(hst.floats(-1.0, 1.0), min_size=10, max_size=10),
+    order=hst.permutations(range(10)),
+    signs=hst.lists(hst.sampled_from([1, -1]), min_size=3, max_size=3),
+    k=hst.integers(0, 3),
+)
+def test_constrained_extremal_matches_an_svd_kernel_reference(n, raw, order, signs, k):
+    pairs = gc.canonical_pairs(n)
+    weights = np.array(raw[: len(pairs)])
+    assume(np.any(weights != 0.0))
+    fixed = [pairs[i] for i in order if i < len(pairs)][:k]
+    constraints = [ex.Constraint(p, s) for p, s in zip(fixed, signs)]
+
+    # reference: kernel of the stacked (Pi_i - s_i I) from an SVD, then eigvalsh
+    mats = dict(zip(pairs, (op.matrix() for op in gc.all_exchange_operators(n))))
+    dim = gc.factorial_dim(n)
+    M = sum(c * mats[p] for c, p in zip(weights, pairs))
+    N = np.eye(dim)
+    if constraints:
+        _, sing, vt = np.linalg.svd(np.vstack([mats[c.pair] - c.value * np.eye(dim) for c in constraints]))
+        N = vt[sing <= 1e-8].T
+    if N.shape[1] == 0:
+        with pytest.raises(InfeasibleError):
+            ex.constrained_extremal(constraints, ex.Objective(n, weights))
+        return
+    reference = np.linalg.eigvalsh(N.T @ M @ N)[-1]
+    result = ex.constrained_extremal(constraints, ex.Objective(n, weights))
+    assert abs(result.value - reference) <= 1e-9 * max(1.0, np.abs(weights).sum())

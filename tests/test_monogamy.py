@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,15 +107,22 @@ def test_mesh_csv_format():
     float(first[0])  # numeric fields parse
 
 
-def test_region_audit_clean_and_deterministic():
+def test_region_audit_clean_and_deterministic(monkeypatch):
     a = mg.region_audit(20000, 42, mixed_samples=2000)
-    b = mg.region_audit(20000, 42, mixed_samples=2000, threads=1)
+    monkeypatch.setenv("STATMON_THREADS", "1")
+    b = mg.region_audit(20000, 42, mixed_samples=2000)
     assert a == b
     assert a.violations == 0
     assert a.min_margin >= -1e-9
     assert a.samples == 22000
     payload = a.to_jsonable()
     assert set(payload) == {"samples", "seed", "min_margin", "violations"}
+
+
+def test_thread_count_is_capped_at_the_hardware_count(monkeypatch):
+    # read only: no pool is started
+    monkeypatch.setenv("STATMON_THREADS", "1000000")
+    assert mg.default_thread_count() == (os.cpu_count() or 1)
 
 
 def test_region_audit_named_states_on_boundary():
@@ -221,8 +230,7 @@ def test_audit_draw_budget_refuses_before_sharding(monkeypatch):
     def shard(*args):
         raise AssertionError("a shard ran")
 
-    monkeypatch.setattr(mg, "_pure_shard", shard)
-    monkeypatch.setattr(mg, "_mixed_shard", shard)
+    monkeypatch.setattr(mg, "_shard", shard)
     with pytest.raises(CapacityError):
         mg.region_audit(mg.AUDIT_MAX_DRAWS + 1, 1)
     with pytest.raises(CapacityError):

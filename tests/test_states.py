@@ -6,7 +6,7 @@ import pytest
 from statmon import group_core as gc
 from statmon import observables as ob
 from statmon import states as st
-from statmon.errors import ValidationError
+from statmon.errors import CapacityError, ValidationError
 
 
 def test_normalize_scaling():
@@ -104,6 +104,17 @@ def test_mixed_state_rejects_bad_matrices():
     psi = st.named_state("sym_plus").projector()
     with pytest.raises(ValidationError):
         st.MixedState(3, 1.2 * psi - 0.2 * np.eye(6) / 6.0 + 0.0j)
+
+
+def test_mixed_state_byte_gate_refuses_before_allocating():
+    assert 720 * 720 * 16 <= st.DENSITY_MAX_BYTES  # n = 6 is admitted
+    with pytest.raises(CapacityError):
+        st.MixedState(7, np.zeros((1, 1)))
+    # without the gate the mixture allocates a 5040 x 5040 complex matrix first
+    e0 = np.zeros(5040)
+    e0[0] = 1.0
+    with pytest.raises(CapacityError):
+        st.MixedState.from_mixture([1.0], [st.PureState(7, e0)])
 
 
 def test_state_json_round_trip():
