@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import json
 import os
 import sys
@@ -45,11 +47,25 @@ def _parse_sign_flag(text: str) -> int:
     return observables.parse_sign(text if text in ("+", "-") else int(text))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.loads hook: refuse a repeated key instead of keeping its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = collections.Counter(k for k, _ in pairs)
+        raise ValidationError(f"repeated JSON keys {sorted(k for k in counts if counts[k] > 1)}")
+    return obj
+
+
 def _read_json(source: str):
     try:
-        return json.loads(Path(source).read_text(encoding="utf-8"))
+        return json.loads(Path(source).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{source}: invalid JSON ({exc})") from None
+
+
+def _output(path: str | None):
+    """The --out file, or stdout when none is given."""
+    return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _resolve_state(source: str) -> states.PureState:
@@ -75,45 +91,27 @@ def _parse_v(text: str) -> list[float]:
         raise ValidationError(f"--v entries must be numbers, got {text!r}") from None
 
 
-def _parse_fixed(text: str) -> list[extremal.Constraint]:
-    constraints = []
+def _parse_pairs(text: str, flag: str, sep: str, convert, what: str, unique: bool = False) -> list:
+    """Ordered (Pair, value) entries of a comma-separated LABEL<sep>VALUE list."""
+    entries, seen = [], set()
     for chunk in filter(None, (c.strip() for c in text.split(","))):
-        if "=" not in chunk:
-            raise ValidationError(f"--fix entries look like AB=1, got {chunk!r}")
-        pair_text, _, value_text = chunk.partition("=")
-        try:
-            value = int(value_text)
-        except ValueError:
-            raise ValidationError(f"fixed value must be +1 or -1, got {value_text!r}") from None
-        constraints.append(extremal.Constraint(group_core.Pair.parse(pair_text), value))
-    return constraints
-
-
-def _parse_objective(text: str) -> dict[str, float]:
-    coeffs = {}
-    for chunk in filter(None, (c.strip() for c in text.split(","))):
-        pair_text, sep, value_text = chunk.partition(":")
-        if not sep:
-            raise ValidationError(f"--objective entries look like AB:1.5, got {chunk!r}")
-        try:
-            coeffs[pair_text] = float(value_text)
-        except ValueError:
-            raise ValidationError(f"objective weight must be a number, got {value_text!r}") from None
-    if not coeffs:
-        raise ValidationError("--objective must name at least one pair")
-    return coeffs
-
-
-def _infer_boxes(pair_labels, explicit: int | None) -> int:
-    needed = 2
-    for label in pair_labels:
+        label, found, value_text = chunk.partition(sep)
+        if not found:
+            raise ValidationError(f"{flag} entries look like AB{sep}1, got {chunk!r}")
         pair = group_core.Pair.parse(label)
-        needed = max(needed, pair.y + 1)
-    if explicit is None:
-        return needed
-    if explicit < needed:
-        raise ValidationError(f"--n {explicit} too small for pairs named (need >= {needed})")
-    return group_core.validate_box_count(explicit)
+        if unique and pair in seen:
+            raise ValidationError(f"{flag} names pair {pair} twice")
+        seen.add(pair)
+        try:
+            entries.append((pair, convert(value_text)))
+        except ValueError:
+            raise ValidationError(f"{flag} values must be {what}, got {value_text!r}") from None
+    return entries
+
+
+def _infer_boxes(pairs, explicit: int | None) -> int:
+    """--n as given, or the fewest boxes that hold every named pair."""
+    return explicit if explicit is not None else max((p.y + 1 for p in pairs), default=2)
 
 
 def _v_payload(state: states.PureState) -> dict:
@@ -125,23 +123,12 @@ def _v_payload(state: states.PureState) -> dict:
 
 
 def _cmd_state(args) -> int:
-    if args.name:
-        if args.name == "chi":
-            params = {"theta": args.theta, "phi": args.phi, "s1": args.s1, "s2": args.s2}
-            missing = [k for k, v in params.items() if v is None]
-            if missing:
-                raise ValidationError(f"chi requires --theta --phi --s1 --s2 (missing {missing})")
-            state = states.named_state("chi", **params)
-        else:
-            state = states.named_state(args.name)
-    else:
-        state = _resolve_state(args.file)
-    payload = states.state_to_jsonable(state)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _emit(payload, fh)
-    else:
-        _emit(payload)
+    chi = {k: getattr(args, k) for k in ("theta", "phi", "s1", "s2") if getattr(args, k) is not None}
+    if args.name is None and chi:
+        raise ValidationError("--theta, --phi, --s1 and --s2 apply to --name chi only")
+    state = states.named_state(args.name, **chi) if args.name else _resolve_state(args.file)
+    with _output(args.out) as fh:
+        _emit(states.state_to_jsonable(state), fh)
     return EXIT_OK
 
 
@@ -158,11 +145,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_surface(args) -> int:
     points = monogamy.surface_mesh(args.theta_steps, args.phi_steps)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            monogamy.write_mesh_csv(points, fh)
-    else:
-        monogamy.write_mesh_csv(points, sys.stdout)
+    with _output(args.out) as fh:
+        monogamy.write_mesh_csv(points, fh)
     return EXIT_OK
 
 
@@ -174,16 +158,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    constraints = _parse_fixed(args.fix) if args.fix else []
-    coeffs = _parse_objective(args.objective)
-    n = _infer_boxes(
-        list(coeffs) + [c.pair.label() for c in constraints], args.n
-    )
-    objective = extremal.Objective.from_pairs(n, coeffs)
-    if constraints:
-        result = extremal.constrained_extremal(constraints, objective)
-    else:
-        result = extremal.max_expectation(objective)
+    fixed = _parse_pairs(args.fix or "", "--fix", "=", int, "+1 or -1")
+    weights = _parse_pairs(args.objective, "--objective", ":", float, "numbers", unique=True)
+    n = _infer_boxes([p for p, _ in fixed + weights], args.n)
+    objective = extremal.Objective.from_pairs(n, dict(weights))
+    result = extremal.constrained_extremal([extremal.Constraint(p, v) for p, v in fixed], objective)
     _emit(result.to_jsonable())
     return EXIT_OK
 

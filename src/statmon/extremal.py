@@ -24,6 +24,8 @@ WEIGHT_SUM_MAX = 1e300
 DENSE_EIG_MAX_BOXES = 5  # dense n! x n! eigensolves stop being desk scale at 6! = 720
 SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; temporaries add about 3x
 SEARCH_SHRINK = 0.55  # random_search_max narrows its spread by this factor each round
+SEARCH_RESTARTS = 5  # independent annealing runs in random_search_max
+SEARCH_ROUNDS = 12  # sampling rounds per restart
 
 
 @dataclass(frozen=True)
@@ -132,17 +134,15 @@ def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
     constraints = list(constraints)
     if not constraints:
         return np.eye(group_core.factorial_dim(n))
-    seen: dict[group_core.Pair, int] = {}
     for c in constraints:
         if c.pair.y >= n:
             raise ValidationError(f"constraint pair {c.pair} invalid for n = {n}")
+    seen: dict[group_core.Pair, int] = {}
+    for c in constraints:
         if seen.setdefault(c.pair, c.value) != c.value:
             raise InfeasibleError(f"conflicting constraints on pair {c.pair}")
-    dim = group_core.factorial_dim(n)
-    accum = np.zeros((dim, dim))
-    for pair, value in seen.items():
-        op = group_core.exchange_operator(n, pair)
-        accum += (np.eye(dim) - value * op.matrix()) / 2.0
+    signed = Objective(n, [seen.get(p, 0) for p in group_core.canonical_pairs(n)]).matrix()
+    accum = np.eye(group_core.factorial_dim(n)) * (len(seen) / 2.0) - signed / 2.0
     dec = symmetric_spectrum(accum)
     kernel = np.abs(dec.eigenvalues) <= KERNEL_TOL
     if not kernel.any():
@@ -224,11 +224,7 @@ def symmetric_ray_extreme(direction) -> float:
 
 
 def random_search_max(
-    objective: Objective,
-    samples: int = 10000,
-    seed: int = 0,
-    restarts: int = 5,
-    rounds: int = 12,
+    objective: Objective, samples: int = 10000, seed: int = 0
 ) -> tuple[float, states.PureState]:
     """Brute-force check of max_expectation: best c.v over randomly sampled
     states only, no eigensolver involved.
@@ -239,11 +235,11 @@ def random_search_max(
     certified lower bound on the true maximum.
     """
     samples = int(samples)
-    if samples < restarts * rounds:
+    if samples < SEARCH_RESTARTS * SEARCH_ROUNDS:
         raise ValidationError("sample budget too small for the restart schedule")
     dim = group_core.factorial_dim(objective.n)
-    per = samples // (restarts * rounds)
-    extra = samples - per * restarts * rounds
+    per = samples // (SEARCH_RESTARTS * SEARCH_ROUNDS)
+    extra = samples - per * SEARCH_RESTARTS * SEARCH_ROUNDS
     batch = per + (1 if extra else 0)  # the largest round's state count
     if batch * dim * 16 > SEARCH_BATCH_MAX_BYTES:
         raise CapacityError(
@@ -252,9 +248,9 @@ def random_search_max(
         )
     rng = np.random.default_rng(seed)
     best_val, best_amp = -np.inf, None
-    for _ in range(restarts):
+    for _ in range(SEARCH_RESTARTS):
         local_val, local_amp, sigma = -np.inf, None, 1.0
-        for r in range(rounds):
+        for r in range(SEARCH_ROUNDS):
             count = per + (1 if extra > 0 else 0)
             extra = max(0, extra - 1)
             z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))

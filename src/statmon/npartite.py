@@ -10,7 +10,6 @@ objective whose expectation is affine in x.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,12 +57,10 @@ class ScenarioGraph:
     @classmethod
     def from_jsonable(cls, obj) -> "ScenarioGraph":
         try:
-            if isinstance(obj, str):
-                obj = json.loads(obj)
             n = obj["n"]
             fixed_raw = obj.get("fixed", {})
             free_raw = obj.get("free", [])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed scenario JSON: {exc}") from None
         if not isinstance(fixed_raw, dict) or not isinstance(free_raw, list):
             raise ValidationError('scenario "fixed" must be an object and "free" a list')

@@ -235,6 +235,7 @@ def test_closed_output_pipe_exits_quietly():
     assert b"Traceback" not in err
 
 
+STATE3 = {"n": 3, "ordering": "paper3", "amplitudes": [[1, 0]] + [[0, 0]] * 5}
 # Each payload once crashed with a traceback or, worse, produced a report.
 MALFORMED = {
     "scenario-fixed-is-a-list": ["scenario", "--file", {"n": 4, "fixed": [1, 2], "free": []}],
@@ -253,6 +254,14 @@ MALFORMED = {
     "state-file-is-a-directory": ["state", "--file", "<dir>"],
     "state-out-in-missing-directory": ["state", "--name", "eq5", "--out", "<missing>/x.json"],
     "surface-out-is-a-directory": ["surface", "--theta-steps", "2", "--phi-steps", "2", "--out", "<dir>"],
+    "extremal-objective-repeats-a-label": ["extremal", "--objective", "AB:1,AB:2"],
+    "state-chi-flag-with-another-name": ["state", "--name", "eq5", "--theta", "1.0"],
+    "state-chi-flag-with-a-file": ["state", "--file", STATE3, "--s1", "+"],
+    # json.loads alone keeps the last of a repeated key
+    "scenario-repeated-key": [
+        "scenario", "--file", '{"n": 4, "fixed": {"AB": 1, "AB": -1, "AC": 1}, "free": ["BC"]}',
+    ],
+    "state-repeated-key": ["v", "--state", '{"n": 4, ' + json.dumps(STATE3)[1:]],
 }
 
 
@@ -260,9 +269,9 @@ MALFORMED = {
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv):
     args = []
     for arg in argv:
-        if isinstance(arg, dict):
+        if isinstance(arg, dict) or arg.startswith("{"):  # a payload, or raw JSON text
             path = tmp_path / "input.json"
-            path.write_text(json.dumps(arg))
+            path.write_text(arg if isinstance(arg, str) else json.dumps(arg))
             arg = str(path)
         args.append(str(arg).replace("<dir>", str(tmp_path)).replace("<missing>", str(tmp_path / "missing")))
     code, out, err = run(capsys, *args)

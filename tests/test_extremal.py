@@ -129,7 +129,7 @@ def test_symmetric_ray_extreme():
 def test_random_search_is_a_lower_bound_that_improves():
     obj = ex.Objective.from_pairs(3, {"AB": 1, "BC": 1, "AC": 1})
     lam = ex.max_expectation(obj).value
-    coarse, _ = ex.random_search_max(obj, 600, seed=5, restarts=2, rounds=3)
+    coarse, _ = ex.random_search_max(obj, 600, seed=5)
     fine, _ = ex.random_search_max(obj, 10000, seed=5)
     assert coarse <= lam + 1e-9
     assert fine <= lam + 1e-9
