@@ -22,7 +22,7 @@ RESULT_TOL = 1e-9
 # entries and the symmetrization's doubling then stay far from overflow.
 WEIGHT_SUM_MAX = 1e300
 DENSE_EIG_MAX_BOXES = 5  # dense n! x n! eigensolves stop being desk scale at 6! = 720
-SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; temporaries add about 3x
+SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; a round peaks at about 3x
 SEARCH_SHRINK = 0.55  # random_search_max narrows its spread by this factor each round
 SEARCH_RESTARTS = 5  # independent annealing runs in random_search_max
 SEARCH_ROUNDS = 12  # sampling rounds per restart
@@ -260,7 +260,7 @@ def random_search_max(
             vals = observables.exchange_rows(z, objective.n) @ objective.weights
             i = int(np.argmax(vals))
             if vals[i] > local_val:
-                local_val, local_amp = float(vals[i]), z[i]
+                local_val, local_amp = float(vals[i]), z[i].copy()
             sigma *= SEARCH_SHRINK
         if local_val > best_val:
             best_val, best_amp = local_val, local_amp

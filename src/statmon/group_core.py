@@ -119,10 +119,21 @@ def relabel(word: Word, pair: Pair) -> Word:
     return tuple(y if b == x else (x if b == y else b) for b in word)
 
 
+def lex_rank(words: np.ndarray) -> np.ndarray:
+    """Position of each row, a permutation of 0..n-1, in the lexicographic
+    order of all n! permutations: its Lehmer code c_i = #{j > i : w_j < w_i}
+    read as the factorial-base number sum_i c_i (n-1-i)!."""
+    n = words.shape[1]
+    rank = np.zeros(len(words), dtype=np.int64)
+    for i in range(n):
+        rank = rank * (n - i) + (words[:, i + 1:] < words[:, i:i + 1]).sum(axis=1)
+    return rank
+
+
 class BasisOrdering:
     """Bijection between occupation words and basis indices in [0, n!)."""
 
-    __slots__ = ("n", "kind", "words", "_index")
+    __slots__ = ("n", "kind", "words", "word_array", "_index", "_from_lex")
 
     def __init__(self, n: int, kind: str):
         n = validate_box_count(n)
@@ -137,7 +148,11 @@ class BasisOrdering:
         self.n = n
         self.kind = kind
         self.words = words
+        self.word_array = np.array(words, dtype=np.int64)
+        self.word_array.setflags(write=False)
         self._index = {w: i for i, w in enumerate(words)}
+        self._from_lex = np.empty(len(words), dtype=np.int64)
+        self._from_lex[lex_rank(self.word_array)] = np.arange(len(words))
 
     @property
     def dim(self) -> int:
@@ -151,6 +166,11 @@ class BasisOrdering:
     def word_to_index(self, word) -> int:
         w = validate_word(word, self.n)
         return self._index[w]
+
+    def indices(self, words: np.ndarray) -> np.ndarray:
+        """Basis index of each row of an (M, n) array of words, which must
+        be permutations of 0..n-1 (not checked)."""
+        return self._from_lex[lex_rank(words)]
 
     def index_to_word(self, index: int) -> Word:
         if not 0 <= index < self.dim:
@@ -182,7 +202,8 @@ class PermutationOperator:
 
     def __init__(self, ordering: BasisOrdering, mapping):
         mapping = np.asarray(mapping, dtype=np.int64)
-        if mapping.shape != (ordering.dim,) or sorted(mapping) != list(range(ordering.dim)):
+        identity = np.arange(ordering.dim)
+        if mapping.shape != identity.shape or not np.array_equal(np.sort(mapping), identity):
             raise ValidationError("mapping is not a permutation of the basis")
         self.ordering = ordering
         self.mapping = mapping
@@ -256,8 +277,9 @@ class ExchangeOperator(PermutationOperator):
     def __init__(self, ordering: BasisOrdering, pair: Pair):
         if pair.y >= ordering.n:
             raise ValidationError(f"pair {pair} invalid for n = {ordering.n}")
-        mapping = [ordering.word_to_index(relabel(w, pair)) for w in ordering.words]
-        super().__init__(ordering, mapping)
+        swap = np.arange(ordering.n)
+        swap[[pair.x, pair.y]] = pair.y, pair.x
+        super().__init__(ordering, ordering.indices(swap[ordering.word_array]))
         self.pair = pair
         if np.any(self.mapping == np.arange(self.dim)) or not self.is_involution():
             raise ConvergenceError("exchange mapping must be a fixed-point-free involution")

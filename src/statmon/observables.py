@@ -22,6 +22,7 @@ from .states import MixedState, PureState, named_state
 
 HERMITICITY_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-9
+ROW_BLOCK_BYTES = 2**18  # products held at once by exchange_rows: well inside L2
 
 
 def _as_operator(op, dim: int):
@@ -69,21 +70,51 @@ def expectation(state: PureState | MixedState, op) -> float:
 def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
     """Batched <psi|Pi_XY|psi> for every unit amplitude row of `amps`.
 
-    Columns follow `pairs` (default: the canonical pairs of n, so each row is
-    that state's v-vector); rows are taken as already normalized.
+    `amps` has shape (N, n!); the result has shape (N, len(pairs)), its
+    columns following `pairs` (default: the canonical pairs of n, so each row
+    is that state's v-vector). Rows are taken as already normalized. They are
+    worked through in blocks of about ROW_BLOCK_BYTES of products, so the
+    scratch memory does not grow with N.
     """
+    dim = group_core.factorial_dim(n)
     amps = np.asarray(amps)
-    pairs = group_core.canonical_pairs(n) if pairs is None else pairs
-    parts = (amps.real, amps.imag) if np.iscomplexobj(amps) else (amps,)
-    cols = []
+    if amps.ndim != 2 or amps.shape[1] != dim:
+        raise ValidationError(f"amplitude rows for n = {n} need shape (N, {dim}), got {amps.shape}")
+    pairs = group_core.canonical_pairs(n) if pairs is None else tuple(pairs)
+    out = np.empty((len(amps), len(pairs)))
+    if not pairs:
+        return out
+    # one real row per state: the amplitudes, or their real and imaginary
+    # parts interleaved, so part p of amplitude k sits in column parts*k + p
+    if np.iscomplexobj(amps):
+        flat, parts = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64), 2
+    else:
+        flat, parts = np.ascontiguousarray(amps, dtype=np.float64), 1
+    # Pi_XY swaps basis words in pairs (k, m(k)), so Re<psi|Pi_XY|psi> is
+    # twice the sum over k < m(k) of Re a_k Re a_m(k) + Im a_k Im a_m(k)
+    lo, hi = [], []
     for pair in pairs:
         m = group_core.exchange_operator(n, pair).mapping
-        lo = np.flatnonzero(m > np.arange(m.size))
-        # Pi_XY swaps basis words in pairs (k, m(k)), so Re<psi|Pi_XY|psi> is
-        # twice the sum over k < m(k) of Re a_k Re a_m(k) + Im a_k Im a_m(k).
-        # A product and a row sum give a state the same bits alone as in any batch.
-        cols.append(2.0 * sum(q[:, lo] * q[:, m[lo]] for q in parts).sum(axis=1))
-    return np.stack(cols, axis=1)
+        k = np.flatnonzero(m > np.arange(dim))
+        lo.append(k)
+        hi.append(m[k])
+    # flat column indices ordered (part, k < m(k), pair)
+    lo, hi = ((parts * np.array(ix).T + np.arange(parts)[:, None, None]).ravel() for ix in (lo, hi))
+    step = max(2, ROW_BLOCK_BYTES // (8 * lo.size))
+    for start in range(0, len(amps), step):
+        block = flat[start:start + step].T
+        # Rows and pairs run along the contiguous axis, so both sums add each
+        # row's terms one after another in index order: a row gets the same
+        # bits in any batch. A lone row is doubled, because numpy adds the
+        # terms of a single contiguous row pairwise instead.
+        cols = np.ascontiguousarray(block if block.shape[1] > 1 else np.repeat(block, 2, axis=1))
+        prod = np.take(cols, lo, axis=0)
+        prod *= np.take(cols, hi, axis=0)
+        terms = prod.reshape(parts, -1).sum(axis=0)
+        sums = terms.reshape(-1, len(pairs), cols.shape[1]).sum(axis=0)
+        out[start:start + step] = sums[:, :block.shape[1]].T
+    out *= 2.0
+    return out
 
 
 def v_vector(state: PureState | MixedState) -> np.ndarray:

@@ -63,6 +63,28 @@ def test_exchange_operator_n2():
     assert list(op.mapping) == [1, 0]
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_exchange_mappings_match_per_word_relabeling(n):
+    ordering = gc.BasisOrdering.canonical(n)
+    for pair in gc.canonical_pairs(n):
+        expected = [ordering.word_to_index(gc.relabel(w, pair)) for w in ordering.words]
+        assert gc.exchange_operator(n, pair).mapping.tolist() == expected
+
+
+def test_lex_rank_counts_permutations_in_order():
+    ordering = gc.BasisOrdering(5, "lex")
+    assert gc.lex_rank(ordering.word_array).tolist() == list(range(120))
+    paper3 = gc.BasisOrdering.canonical(3)
+    assert paper3.indices(paper3.word_array).tolist() == list(range(6))
+
+
+def test_permutation_operator_rejects_non_permutations():
+    ordering = gc.BasisOrdering.canonical(3)
+    for mapping in ([0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 6]):
+        with pytest.raises(ValidationError):
+            gc.PermutationOperator(ordering, mapping)
+
+
 # These run the selftest check that asserts each invariant.
 def test_exchange_operators_fixed_point_free():
     selftest.exchange_involutions()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,51 @@ def test_exchange_rows_matches_v_vector(n):
         assert np.abs(row - v).max() <= 1e-12
         expected = [v[gc.canonical_pairs(n).index(p)] for p in subset]
         assert np.abs(part - expected).max() <= 1e-12
+
+
+def _whole_batch_rows(amps, n, pairs):
+    """Reference: each pair's products and row sums over the whole batch at once."""
+    parts = (amps.real, amps.imag) if np.iscomplexobj(amps) else (amps,)
+    cols = []
+    for pair in pairs:
+        m = gc.exchange_operator(n, pair).mapping
+        lo = np.flatnonzero(m > np.arange(m.size))
+        cols.append(2.0 * sum(q[:, lo] * q[:, m[lo]] for q in parts).sum(axis=1))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("extra", [1, 3])
+def test_exchange_rows_blocks_give_batch_independent_bits(monkeypatch, n, dtype, extra):
+    monkeypatch.setattr(ob, "ROW_BLOCK_BYTES", 2**12)
+    pairs = gc.canonical_pairs(n)[::-2]
+    parts = 2 if dtype is np.complex128 else 1
+    block = max(2, ob.ROW_BLOCK_BYTES // (8 * parts * gc.factorial_dim(n) // 2 * len(pairs)))
+    amps = st.random_amplitudes(n, 2 * block + extra, np.random.default_rng(n))
+    amps = np.ascontiguousarray(amps if parts == 2 else amps.real)
+    batch = ob.exchange_rows(amps, n, pairs)
+    assert batch.tobytes() == _whole_batch_rows(amps, n, pairs).tobytes()
+    for a, row in zip(amps, batch):
+        assert ob.exchange_rows(a[None, :], n, pairs).tobytes() == row[None, :].tobytes()
+
+
+def test_exchange_rows_scratch_does_not_grow_with_the_batch():
+    amps = st.random_amplitudes(4, 100000, np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        out = ob.exchange_rows(amps, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * 2**20
+
+
+def test_exchange_rows_input_contract():
+    amps = st.random_amplitudes(3, 2, np.random.default_rng(5))
+    with pytest.raises(ValidationError):
+        ob.exchange_rows(np.zeros((2, 7)), 3)
+    with pytest.raises(ValidationError):
+        ob.exchange_rows(amps[0], 3)
+    assert ob.exchange_rows(amps, 3, []).shape == (2, 0)
+    assert ob.exchange_rows(amps[:0], 3).shape == (0, 3)
