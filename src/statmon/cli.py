@@ -10,8 +10,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import extremal, group_core, monogamy, npartite, observables, states
 from .errors import ConvergenceError, InfeasibleError, StatmonError, ValidationError
 from .selftest import run_selftest

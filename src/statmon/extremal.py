@@ -22,7 +22,7 @@ RESULT_TOL = 1e-9
 # entries and the symmetrization's doubling then stay far from overflow.
 WEIGHT_SUM_MAX = 1e300
 DENSE_EIG_MAX_BOXES = 5  # dense n! x n! eigensolves stop being desk scale at 6! = 720
-SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; a round peaks at about 3x
+SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; the draw peaks at 2x, its normalization at 3x
 SEARCH_SHRINK = 0.55  # random_search_max narrows its spread by this factor each round
 SEARCH_RESTARTS = 5  # independent annealing runs in random_search_max
 SEARCH_ROUNDS = 12  # sampling rounds per restart
@@ -253,9 +253,10 @@ def random_search_max(
         for r in range(SEARCH_ROUNDS):
             count = per + (1 if extra > 0 else 0)
             extra = max(0, extra - 1)
-            z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+            z = states.gaussian_amplitudes(objective.n, count, rng)
             if local_amp is not None:
-                z = local_amp[None, :] + sigma * z
+                z *= sigma
+                z += local_amp
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             vals = observables.exchange_rows(z, objective.n) @ objective.weights
             i = int(np.argmax(vals))

@@ -12,7 +12,6 @@ states cos(phi)|+-> + sin(phi)|psi_theta^(+-)> realize every surface point.
 
 from __future__ import annotations
 
-import concurrent.futures
 import io
 import itertools
 import os
@@ -227,17 +226,25 @@ def _margins_of_v(V: np.ndarray) -> np.ndarray:
     return 1.0 - (np.abs(V @ w1) + np.hypot(V @ w2, V @ w3))
 
 
+def _random_v(rng: np.random.Generator, count: int) -> np.ndarray:
+    """v-vectors of `count` random three-box pure states, taken on the raw
+    Gaussian draw z as <z|Pi_XY|z> / <z|z>: no normalized copy is made."""
+    z = states.gaussian_amplitudes(3, count, rng)
+    flat = z.view(np.float64)
+    return observables.exchange_rows(z, 3) / np.einsum("ri,ri->r", flat, flat)[:, None]
+
+
 def _shard(seed: int, mixed: bool, index: int, count: int) -> tuple[float, int]:
     """Minimum margin and violation count of one shard of pure states or,
     when `mixed`, of two-component mixtures."""
     rng = np.random.default_rng([seed, int(mixed), index])
-    V = observables.exchange_rows(states.random_amplitudes(3, count, rng), 3)
+    V = _random_v(rng, count)
     if mixed:
-        b = states.random_amplitudes(3, count, rng)
+        b = _random_v(rng, count)
         weight = rng.uniform(0.0, 1.0, size=count)[:, None]
         # v is linear in the density matrix, so a two-component mixture's v is
         # the weighted average of the components' v-vectors
-        V = weight * V + (1.0 - weight) * observables.exchange_rows(b, 3)
+        V = weight * V + (1.0 - weight) * b
     margins = _margins_of_v(V)
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
@@ -280,6 +287,8 @@ def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport
         for mixed, total in ((False, samples), (True, mixed_samples))
         for index, start in enumerate(range(0, total, AUDIT_SHARD))
     ]
+    import concurrent.futures  # here, not at the top: it imports logging, which only audits need
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=default_thread_count()) as pool:
         results = list(pool.map(lambda job: _shard(seed, *job), jobs))
 

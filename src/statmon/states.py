@@ -109,10 +109,19 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-9) -> b
     return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
 
 
+def gaussian_amplitudes(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, n!) iid standard complex Gaussians, not normalized: every real
+    part, then every imaginary part, in one draw from `rng`."""
+    dim = group_core.factorial_dim(n)
+    parts = rng.standard_normal((2, count, dim))
+    z = np.empty((count, dim), dtype=np.complex128)
+    z.real, z.imag = parts
+    return z
+
+
 def random_amplitudes(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Rows are unit vectors drawn from the rotation-invariant distribution."""
-    dim = group_core.factorial_dim(n)
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    z = gaussian_amplitudes(n, count, rng)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
 

@@ -235,6 +235,15 @@ def test_closed_output_pipe_exits_quietly():
     assert b"Traceback" not in err
 
 
+def test_importing_the_cli_leaves_out_the_thread_pool():
+    # concurrent.futures pulls in logging: a few ms of import that only audit needs
+    env = dict(os.environ, PYTHONPATH=str(Path(statmon.__file__).parents[1]))
+    code = "import sys, statmon.cli; print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 STATE3 = {"n": 3, "ordering": "paper3", "amplitudes": [[1, 0]] + [[0, 0]] * 5}
 # Each payload once crashed with a traceback or, worse, produced a report.
 MALFORMED = {

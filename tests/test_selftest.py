@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from statmon import extremal, observables, selftest
-from statmon.group_core import Pair
+from statmon.group_core import Pair, canonical_pairs, exchange_operator
 from statmon.selftest import CHECKS
 
 
@@ -20,20 +20,51 @@ def test_sampled_minimum_streams_to_the_one_shot_bits():
     pairs = [Pair.parse(p) for p in ("AC", "BD")]
     count = 3 * selftest.SAMPLE_BLOCK_ROWS + 77
     basis = extremal.joint_eigenspace_basis(4, constraints)
+    forms = [basis.T @ basis[exchange_operator(4, p).mapping] for p in pairs]
     rng = np.random.default_rng(99)
+    shape = (count, basis.shape[1])
+    x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+    one_shot = selftest._lowest_ratio(x, y, forms)
+    streamed = selftest._sampled_minimum(4, constraints, pairs, count, 99)
+    assert np.float64(streamed).tobytes() == np.float64(one_shot).tobytes()
+
+
+def _expanded_minimum(n, constraints, pairs, count, seed):
+    """The sampler's minimum the long way: normalize each draw, expand it to
+    n! amplitudes and run the batched kernel."""
+    basis = extremal.joint_eigenspace_basis(n, constraints)
+    rng = np.random.default_rng(seed)
     shape = (count, basis.shape[1])
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    one_shot = observables.exchange_rows(z @ basis.T, 4, pairs).min()
-    streamed = selftest._sampled_minimum(4, constraints, pairs, count, 99)
-    assert np.float64(streamed).tobytes() == one_shot.tobytes()
+    return observables.exchange_rows(z @ basis.T, n, pairs).min()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("fixed", [(), ("AB",), ("AB", "AC", "BC")])
+def test_compressed_sampler_matches_the_expanded_formula(monkeypatch, n, fixed):
+    monkeypatch.setattr(selftest, "SAMPLE_BLOCK_ROWS", 16)
+    constraints = [extremal.Constraint(Pair.parse(p), +1) for p in fixed]
+    pairs = canonical_pairs(n)
+    count = 2 * 16 + 5
+    compressed = selftest._sampled_minimum(n, constraints, pairs, count, 7 + n)
+    assert abs(compressed - _expanded_minimum(n, constraints, pairs, count, 7 + n)) <= 1e-14
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_bosonic_triangle_sampling_memory_budget():
-    tracemalloc.start()
-    try:
-        selftest.bosonic_triangle_sampling()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert _traced_peak(selftest.bosonic_triangle_sampling) < 16 * 2**20
+
+
+def test_bosonic_triangle_sampling_holds_little_beyond_its_real_parts():
+    # the 10^5 x 4 real parts take 3.05 MiB; one block's pair products and
+    # imaginary parts add about 2 MiB
+    assert _traced_peak(selftest.bosonic_triangle_sampling) < 6 * 2**20

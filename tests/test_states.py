@@ -75,6 +75,19 @@ def test_random_state_deterministic_and_normalized():
     assert not np.array_equal(a.amplitudes, st.random_pure_state(4, 78).amplitudes)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_random_amplitudes_keep_the_two_call_draw(n):
+    dim = gc.factorial_dim(n)
+    for count in (1, 2, 17, 1000):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            again = np.random.default_rng(seed)
+            assert st.random_amplitudes(n, count, again).tobytes() == z.tobytes()
+            assert again.standard_normal() == rng.standard_normal()
+
+
 def test_random_state_haar_mean_is_traceless():
     # every exchange operator moves every word, so its Haar mean vanishes
     rng = np.random.default_rng(42)
