@@ -22,7 +22,7 @@ RESULT_TOL = 1e-9
 # entries and the symmetrization's doubling then stay far from overflow.
 WEIGHT_SUM_MAX = 1e300
 DENSE_EIG_MAX_BOXES = 5  # dense n! x n! eigensolves stop being desk scale at 6! = 720
-SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; the draw peaks at 2x, its normalization at 3x
+SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; the draw and its normalization peak at 2x
 SEARCH_SHRINK = 0.55  # random_search_max narrows its spread by this factor each round
 SEARCH_RESTARTS = 5  # independent annealing runs in random_search_max
 SEARCH_ROUNDS = 12  # sampling rounds per restart
@@ -41,8 +41,12 @@ class Objective:
         pairs = group_core.canonical_pairs(n)
         if w.shape[0] != len(pairs):
             raise ValidationError(f"expected {len(pairs)} weights for n = {n}, got {w.shape[0]}")
-        if not np.all(np.isfinite(w)) or not np.any(w != 0.0):
-            raise ValidationError("objective needs at least one finite nonzero weight")
+        nonfinite = np.flatnonzero(~np.isfinite(w))
+        if nonfinite.size:
+            i = int(nonfinite[0])
+            raise ValidationError(f"objective weight for {pairs[i]} must be finite, got {w[i]}")
+        if not np.any(w != 0.0):
+            raise ValidationError("objective needs at least one nonzero weight")
         with np.errstate(over="ignore"):
             total = np.abs(w).sum()
         if total > WEIGHT_SUM_MAX:
@@ -257,11 +261,14 @@ def random_search_max(
             if local_amp is not None:
                 z *= sigma
                 z += local_amp
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            # squared norms summed on the float view: no batch-sized temporary
+            flat = z.view(np.float64)
+            z /= np.sqrt(np.einsum("ri,ri->r", flat, flat))[:, None]
             vals = observables.exchange_rows(z, objective.n) @ objective.weights
             i = int(np.argmax(vals))
             if vals[i] > local_val:
                 local_val, local_amp = float(vals[i]), z[i].copy()
+            del z, flat  # the next round's draw must not sit beside this batch
             sigma *= SEARCH_SHRINK
         if local_val > best_val:
             best_val, best_amp = local_val, local_amp

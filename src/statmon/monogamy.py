@@ -62,7 +62,13 @@ def theta_family_margin(v, grid: int = THETA_GRID_DEFAULT) -> float:
         raise ValidationError("theta grid must have at least one point")
     if grid > THETA_GRID_MAX:
         raise CapacityError(f"theta grid supports at most {THETA_GRID_MAX} points, got {grid}")
-    return float(3.0 - _theta_lhs(v, np.arange(grid) * (2.0 * np.pi / grid)).max())
+    return float(_theta_margins(v[None, :], grid)[0])
+
+
+def _theta_margins(V: np.ndarray, grid: int) -> np.ndarray:
+    """theta_family_margin of each row of an (N, 3) stack of v-vectors."""
+    thetas = np.arange(grid) * (2.0 * np.pi / grid)
+    return 3.0 - _theta_lhs(V.T[:, :, None], thetas).max(axis=1)
 
 
 def check_sqrt(v) -> float:

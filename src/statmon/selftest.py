@@ -35,10 +35,23 @@ def _check(fn):
     return fn
 
 
-def _rot_axis_111(alpha: float) -> np.ndarray:
+def _rot_axis_111(alphas: np.ndarray) -> np.ndarray:
+    """Rotations by each angle in `alphas` about the (1,1,1) axis, shape (N, 3, 3)."""
     k = np.ones(3) / np.sqrt(3.0)
     K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.cos(alpha) * np.eye(3) + np.sin(alpha) * K + (1 - np.cos(alpha)) * np.outer(k, k)
+    cos, sin = (f(alphas)[:, None, None] for f in (np.cos, np.sin))
+    return cos * np.eye(3) + sin * K + (1 - cos) * np.outer(k, k)
+
+
+def _seeded_amplitudes(seeds) -> np.ndarray:
+    """Rows of states.random_pure_state(3, seed) for each seed, unvalidated."""
+    return np.concatenate([states.random_amplitudes(3, 1, np.random.default_rng(s)) for s in seeds])
+
+
+def _dense_expectations(amps: np.ndarray, matrices) -> np.ndarray:
+    """Re <psi|M|psi> for every amplitude row psi (axis 0) and matrix M (axis
+    1), by dense matrix products: independent of the exchange_rows kernel."""
+    return np.einsum("ri,kij,rj->rk", amps.conj(), np.asarray(matrices), amps).real
 
 
 @_check
@@ -181,12 +194,9 @@ def v_entries_bounded():
 @_check
 def w_projection_consistency():
     f = observables.w_frame()
-    worst = 0.0
-    for seed in range(200):
-        psi = states.random_pure_state(3, 5000 + seed)
-        v = observables.v_vector(psi)
-        for w_vec, W_mat in zip(f.vectors(), f.matrices()):
-            worst = max(worst, abs(observables.expectation(psi, W_mat) - w_vec @ v))
+    amps = _seeded_amplitudes(range(5000, 5200))
+    V = observables.exchange_rows(amps, 3)
+    worst = np.abs(_dense_expectations(amps, f.matrices()) - V @ np.array(f.vectors()).T).max()
     assert worst <= 1e-10
     return f"<W_i> vs w_i.v residual <= {worst:.1e}"
 
@@ -195,17 +205,17 @@ def w_projection_consistency():
 def perfect_simulation_transitive():
     """Near-perfect bosonic (fermionic) AB and BC force the same for AC."""
     rng = np.random.default_rng(77)
-    for base_name, sign in (("sym_plus", 1.0), ("antisym_minus", -1.0)):
+    # per base state, 25 draws of six real then six imaginary parts
+    draws = rng.standard_normal((2, 25, 2, 6))
+    eps = 1e-7
+    for base_name, sign, parts in zip(("sym_plus", "antisym_minus"), (1.0, -1.0), draws):
         base = states.named_state(base_name).amplitudes
-        for _ in range(25):
-            noise = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            noise -= np.vdot(base, noise) * base
-            noise /= np.linalg.norm(noise)
-            eps = 1e-7
-            psi = states.PureState(3, np.sqrt(1 - eps**2) * base + eps * noise)
-            v = observables.v_vector(psi)
-            assert abs(v[0] - sign) < ALGEBRA_TOL and abs(v[1] - sign) < ALGEBRA_TOL
-            assert abs(v[2] - sign) <= STATE_TOL
+        noise = parts[:, 0] + 1j * parts[:, 1]
+        noise -= (noise @ base.conj())[:, None] * base
+        noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+        V = observables.exchange_rows(np.sqrt(1 - eps**2) * base + eps * noise, 3)
+        assert (np.abs(V[:, :2] - sign) < ALGEBRA_TOL).all()
+        assert (np.abs(V[:, 2] - sign) <= STATE_TOL).all()
     return "perturbed perfect pairs stay transitive within 1e-9"
 
 
@@ -214,14 +224,18 @@ def eigenvector_constraint_lemma():
     """<Pi> = 1 - eps iff ||Pi psi - psi||^2 = 2 eps, exactly."""
     op = group_core.exchange_operator(3, group_core.Pair(0, 1))
     rng = np.random.default_rng(88)
-    worst = 0.0
     tol = 1e-6
-    for _ in range(50):
-        psi = states.PureState(3, states.random_amplitudes(3, 1, rng)[0])
-        v = observables.expectation(psi, op)
-        gap = np.linalg.norm(states.apply(op, psi).amplitudes - psi.amplitudes) ** 2
-        worst = max(worst, abs(gap - 2.0 * (1.0 - v)))
-        assert (v >= 1.0 - tol) == (gap <= 2.0 * tol + 1e-15)
+    # 50 states of six real then six imaginary parts each, normalized as
+    # states.random_amplitudes does
+    parts = rng.standard_normal((50, 2, 6))
+    amps = parts[:, 0] + 1j * parts[:, 1]
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    v = observables.exchange_rows(amps, 3, [op.pair])[:, 0]
+    moved = np.empty_like(amps)
+    moved[:, op.mapping] = amps  # states.apply on every row
+    gap = np.linalg.norm(moved - amps, axis=1) ** 2
+    worst = np.abs(gap - 2.0 * (1.0 - v)).max()
+    assert np.array_equal(v >= 1.0 - tol, gap <= 2.0 * tol + 1e-15)
     assert worst <= ALGEBRA_TOL
     return f"identity residual <= {worst:.1e}; equivalence held at tol 1e-6"
 
@@ -230,14 +244,14 @@ def eigenvector_constraint_lemma():
 def membership_forms_agree():
     """Grid max of the theta family matches the sqrt form within 2e-5."""
     rng = np.random.default_rng(99)
-    worst = 0.0
-    candidates = [observables.v_vector(states.random_pure_state(3, 300 + k)) for k in range(100)]
-    candidates += [rng.uniform(-1.0, 1.0, size=3) for _ in range(100)]
-    for v in candidates:
-        sup_estimate = 1.0 - monogamy.theta_family_margin(v, 720) / 3.0
-        exact = 1.0 - monogamy.check_sqrt(v)
-        assert sup_estimate <= exact + 1e-12
-        worst = max(worst, exact - sup_estimate)
+    V = np.concatenate([
+        observables.exchange_rows(_seeded_amplitudes(range(300, 400)), 3),
+        rng.uniform(-1.0, 1.0, size=(100, 3)),
+    ])
+    sup_estimate = 1.0 - monogamy._theta_margins(V, 720) / 3.0
+    exact = 1.0 - monogamy._margins_of_v(V)
+    assert (sup_estimate <= exact + 1e-12).all()
+    worst = (exact - sup_estimate).max()
     assert worst <= 2e-5
     return f"720-point grid gap <= {worst:.2e}"
 
@@ -245,9 +259,11 @@ def membership_forms_agree():
 @_check
 def sign_flip_symmetry():
     rng = np.random.default_rng(123)
-    for _ in range(200):
-        v = rng.uniform(-1.0, 1.0, size=3)
-        assert monogamy.check_sqrt(v) == monogamy.check_sqrt(-v)
+    V = rng.uniform(-1.0, 1.0, size=(200, 3))
+    # v and -v on adjacent rows, so that any blocking of the rows by the
+    # matrix-vector products gives both the same sequence of operations
+    margins = monogamy._margins_of_v(np.stack([V, -V], axis=1).reshape(-1, 3))
+    assert np.array_equal(margins[0::2], margins[1::2])
     return "check_sqrt(v) == check_sqrt(-v) exactly for 200 samples"
 
 
@@ -255,13 +271,12 @@ def sign_flip_symmetry():
 def rotational_symmetry():
     """Rotating boundary points about the (1,1,1) axis preserves margin 0."""
     rng = np.random.default_rng(321)
-    worst = 0.0
-    points = list(monogamy.surface_mesh(8, 5).v)
-    points.append(observables.v_vector(states.named_state("eq5")))
-    points.append(observables.v_vector(states.named_state("nontransitive_3_5")))
-    for v in points:
-        R = _rot_axis_111(rng.uniform(0.0, 2.0 * np.pi))
-        worst = max(worst, abs(monogamy.check_sqrt(R @ v)))
+    points = np.concatenate([
+        monogamy.surface_mesh(8, 5).v,
+        [observables.v_vector(states.named_state(name)) for name in ("eq5", "nontransitive_3_5")],
+    ])
+    rotated = _rot_axis_111(rng.uniform(0.0, 2.0 * np.pi, size=len(points))) @ points[:, :, None]
+    worst = np.abs(monogamy._margins_of_v(rotated[:, :, 0])).max()
     assert worst <= STATE_TOL
     return f"rotated boundary margins <= {worst:.1e}"
 
@@ -270,13 +285,9 @@ def rotational_symmetry():
 def double_cone_geometry():
     """|w1.v| plus the radial part equals 1 on the surface; apexes at
     +-(1,1,1)."""
-    f = observables.w_frame()
     V = monogamy.surface_mesh(12, 7).v
-    worst = 0.0
-    for v in V:
-        axial = abs(f.w1 @ v)
-        radial = np.hypot(f.w2 @ v, f.w3 @ v)
-        worst = max(worst, abs(axial + radial - 1.0))
+    # the margin is 1 - (|w1.v| + hypot(w2.v, w3.v)), the cone equation's residual
+    worst = np.abs(monogamy._margins_of_v(V)).max()
     for apex in (np.ones(3), -np.ones(3)):
         assert np.linalg.norm(V - apex, axis=1).min() <= 1e-12
     assert worst <= STATE_TOL

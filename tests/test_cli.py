@@ -264,6 +264,7 @@ MALFORMED = {
     "state-out-in-missing-directory": ["state", "--name", "eq5", "--out", "<missing>/x.json"],
     "surface-out-is-a-directory": ["surface", "--theta-steps", "2", "--phi-steps", "2", "--out", "<dir>"],
     "extremal-objective-repeats-a-label": ["extremal", "--objective", "AB:1,AB:2"],
+    "extremal-objective-nan-weight": ["extremal", "--objective", "AB:nan,CD:1"],
     "state-chi-flag-with-another-name": ["state", "--name", "eq5", "--theta", "1.0"],
     "state-chi-flag-with-a-file": ["state", "--file", STATE3, "--s1", "+"],
     # json.loads alone keeps the last of a repeated key

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +24,12 @@ def test_objective_validation():
         ex.Objective.from_pairs(3, {"AD": 1.0})
     obj = ex.Objective.from_pairs(3, {"AC": -1.0})
     assert np.array_equal(obj.weights, [0.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_objective_names_the_nonfinite_weight(bad):
+    with pytest.raises(ValidationError, match=f"weight for CD must be finite, got {bad}"):
+        ex.Objective.from_pairs(4, {"AB": 1.0, "CD": bad})
 
 
 def test_constraint_requires_unit_values():
@@ -176,6 +184,21 @@ def test_random_search_batch_budget_refuses_before_drawing():
     obj = ex.Objective.from_pairs(3, {"AB": 1.0})
     with pytest.raises(CapacityError):
         ex.random_search_max(obj, 2**50)
+
+
+def test_random_search_round_peaks_at_twice_its_batch(monkeypatch):
+    # a round holds the complex batch and, while drawing it, the real draw
+    # beside it; neither the last round's batch nor a norm temporary may join
+    monkeypatch.setattr(ex, "SEARCH_BATCH_MAX_BYTES", 2**22)
+    batch_rows = ex.SEARCH_BATCH_MAX_BYTES // (120 * 16)
+    obj = ex.Objective.from_pairs(5, {"AB": 1.0, "CE": -0.5, "BD": 0.25})
+    tracemalloc.start()
+    try:
+        ex.random_search_max(obj, batch_rows * ex.SEARCH_RESTARTS * ex.SEARCH_ROUNDS, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * batch_rows * 120 * 16
 
 
 @pytest.mark.parametrize(

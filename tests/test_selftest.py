@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_h
+from hypothesis.extra.numpy import arrays
 
-from statmon import extremal, observables, selftest
+from statmon import extremal, monogamy, observables, selftest, states
 from statmon.group_core import Pair, canonical_pairs, exchange_operator
 from statmon.selftest import CHECKS
 
@@ -68,3 +71,29 @@ def test_bosonic_triangle_sampling_holds_little_beyond_its_real_parts():
     # the 10^5 x 4 real parts take 3.05 MiB; one block's pair products and
     # imaginary parts add about 2 MiB
     assert _traced_peak(selftest.bosonic_triangle_sampling) < 6 * 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    V=arrays(np.float64, st_h.tuples(st_h.integers(1, 40), st_h.just(3)), elements=st_h.floats(-1.0, 1.0)),
+    grid=st_h.integers(1, 100),
+)
+def test_stacked_margins_match_the_public_checks_row_by_row(V, grid):
+    sqrt_margins = monogamy._margins_of_v(V)
+    theta_margins = monogamy._theta_margins(V, grid)
+    for v, sqrt_margin, theta_margin in zip(V, sqrt_margins, theta_margins):
+        assert abs(sqrt_margin - monogamy.check_sqrt(v)) <= 1e-15
+        assert abs(theta_margin - monogamy.theta_family_margin(v, grid)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st_h.integers(0, 2**32 - 1), count=st_h.integers(1, 30))
+def test_dense_expectations_match_the_matrix_branch_row_by_row(seed, count):
+    matrices = observables.w_frame().matrices()
+    amps = states.random_amplitudes(3, count, np.random.default_rng(seed))
+    dense = selftest._dense_expectations(amps, matrices)
+    assert dense.shape == (count, len(matrices))
+    for row, values in zip(amps, dense):
+        state = states.PureState(3, row)
+        for M, value in zip(matrices, values):
+            assert abs(value - observables.expectation(state, M)) <= 1e-15
