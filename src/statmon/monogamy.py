@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
 THETA_GRID_DEFAULT = 720
 THETA_GRID_MAX = 2**20  # a few float arrays of this length: tens of MB
-MESH_MAX_ROWS = 2**20  # 120 MiB of arrays at the cap (amplitudes 96, v 24); about 180 MiB peak
+MESH_MAX_ROWS = 2**20  # 120 MiB of arrays at the cap (amplitudes 96, v 24); about 147 MiB peak
 CSV_BLOCK_ROWS = 2**14  # rows formatted per write: about 1.3 MB of CSV text
 AUDIT_SHARD = 16384
 AUDIT_MAX_DRAWS = 2**30  # 65536 shards; at about 0.25 us per draw per core, minutes of work
@@ -41,6 +42,15 @@ def _validate_v(v) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.abs(arr).max() > 1.0 + MEMBERSHIP_TOL:
         raise ValidationError(f"entries of v must lie in [-1, 1], got {arr.tolist()}")
     return arr
+
+
+def _count(value, what: str) -> int:
+    """`value` as an int when it is an integer (Python or numpy); floats and
+    other non-integers are refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _theta_lhs(v: np.ndarray, theta):
@@ -58,6 +68,7 @@ def check_theta(v, theta: float) -> float:
 def theta_family_margin(v, grid: int = THETA_GRID_DEFAULT) -> float:
     """min over a theta grid of (3 - lhs); approximate with O(dtheta^2) error."""
     v = _validate_v(v)
+    grid = _count(grid, "theta grid")
     if grid < 1:
         raise ValidationError("theta grid must have at least one point")
     if grid > THETA_GRID_MAX:
@@ -176,7 +187,7 @@ def surface_mesh(theta_steps: int, phi_steps: int) -> SurfaceMesh:
     two apexes at phi = 0); duplicates are emitted as-is.  Meshes above
     MESH_MAX_ROWS rows are refused before anything is allocated.
     """
-    theta_steps, phi_steps = int(theta_steps), int(phi_steps)
+    theta_steps, phi_steps = _count(theta_steps, "theta steps"), _count(phi_steps, "phi steps")
     if theta_steps < 2 or phi_steps < 2:
         raise ValidationError("mesh needs at least 2 steps per axis")
     if 4 * theta_steps * phi_steps > MESH_MAX_ROWS:
@@ -190,18 +201,21 @@ def write_mesh_csv(points: SurfaceMesh, stream) -> None:
     """CSV columns: v_AB,v_BC,v_AC,theta,phi,s1,s2 (12 significant digits).
 
     Only `stream.write` is called, once for the header and once per block
-    of CSV_BLOCK_ROWS rows, so the text in memory stays bounded.
+    of CSV_BLOCK_ROWS rows, so the text in memory stays bounded.  Each theta
+    and phi is formatted once; a row is a template that holds them as text,
+    and a block's v-values fill its templates with one `%`.
     """
     stream.write("v_AB,v_BC,v_AC,theta,phi,s1,s2\n")
-    signs = ("+,+", "+,-", "-,+", "-,-")
-    params = itertools.product(points.thetas.tolist(), points.phis.tolist(), signs)
+    tails = [f",{phi:.12g},{s}\n" for phi in points.phis.tolist() for s in ("+,+", "+,-", "-,+", "-,-")]
+    templates = (
+        "%.12g,%.12g,%.12g," + theta + tail
+        for theta in [f"{theta:.12g}" for theta in points.thetas.tolist()]
+        for tail in tails
+    )
     for start in range(0, len(points), CSV_BLOCK_ROWS):
-        block = points.v[start : start + CSV_BLOCK_ROWS].tolist()
-        # block comes first so that zip stops without consuming a parameter row
-        stream.write("".join(
-            "%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % (a, b, c, theta, phi, s)
-            for (a, b, c), (theta, phi, s) in zip(block, params)
-        ))
+        block = points.v[start : start + CSV_BLOCK_ROWS]
+        text = "".join(itertools.islice(templates, block.shape[0]))
+        stream.write(text % tuple(block.ravel().tolist()))
 
 
 def mesh_csv_text(points) -> str:
@@ -279,7 +293,8 @@ def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport
     from (seed, kind, shard index), so results are independent of the thread
     count; `samples` in the report counts pure plus mixed draws.
     """
-    samples, mixed_samples = int(samples), int(mixed_samples)
+    samples, mixed_samples = _count(samples, "samples"), _count(mixed_samples, "mixed samples")
+    seed = _count(seed, "seed")
     if samples < 1 or mixed_samples < 0:
         raise ValidationError("audit needs at least one pure sample")
     if seed < 0:
@@ -300,7 +315,7 @@ def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport
 
     return AuditReport(
         samples=samples + mixed_samples,
-        seed=int(seed),
+        seed=seed,
         min_margin=min(r[0] for r in results),
         violations=sum(r[1] for r in results),
     )

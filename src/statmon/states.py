@@ -157,6 +157,12 @@ class MixedState:
         rho = np.array(matrix, dtype=np.complex128)
         if rho.shape != (dim, dim):
             raise ValidationError(f"expected a {dim}x{dim} matrix for n = {n}, got {rho.shape}")
+        finite = np.isfinite(rho)
+        if not finite.all():  # NaN compares false, so the checks below would let it through
+            i, j = np.argwhere(~finite)[0]
+            raise ValidationError(
+                f"density matrix entry ({i}, {j}) is {rho[i, j]}; {(~finite).sum()} entries are not finite"
+            )
         if np.abs(rho - rho.conj().T).max(initial=0.0) > HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-9")
         trace = complex(np.trace(rho))
@@ -175,6 +181,8 @@ class MixedState:
         states = list(states)
         if w.ndim != 1 or len(states) != w.shape[0] or w.shape[0] == 0:
             raise ValidationError("weights and states must be equally many and nonempty")
+        if not np.isfinite(w).all():
+            raise ValidationError(f"mixture weights must be finite, got {w.tolist()}")
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError("mixture weights must be nonnegative and sum to 1")
         n = states[0].n

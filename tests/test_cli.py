@@ -113,6 +113,18 @@ def test_surface_csv_matches_golden(capsys):
         assert np.abs(np.array(got[:3], dtype=float) - np.array(want[:3], dtype=float)).max() <= 1e-12
 
 
+def test_surface_stdout_and_out_file_hold_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # 5-row blocks split the 84-row mesh into 17 writes, the last one partial
+    monkeypatch.setattr(statmon.monogamy, "CSV_BLOCK_ROWS", 5)
+    path = tmp_path / "mesh.csv"
+    code, out, _ = run(capsys, "surface", "--theta-steps", "7", "--phi-steps", "3")
+    assert code == 0
+    code, quiet, _ = run(capsys, "surface", "--theta-steps", "7", "--phi-steps", "3", "--out", str(path))
+    assert code == 0 and quiet == ""
+    assert path.read_bytes() == out.encode()
+    assert out.count("\n") == 1 + 7 * 3 * 4
+
+
 # Weights this large once failed an absolute 1e-9 eigenvalue check (or, for a
 # constrained n = 4 problem at 1e4, an absolute symmetry check) with valid input.
 @pytest.mark.parametrize(

@@ -187,6 +187,34 @@ def test_mesh_csv_matches_per_point_formatting(monkeypatch, block_rows):
     assert mg.mesh_csv_text(mesh) == _csv_one_point_at_a_time(mesh)
 
 
+class _WriteOnly:
+    """A stream with nothing but `write`, recording each call's text."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+
+
+@pytest.mark.parametrize("block_rows", [mg.CSV_BLOCK_ROWS, 1, 5, 12])
+def test_mesh_csv_writes_the_header_then_one_call_per_block(monkeypatch, block_rows):
+    # 84 rows; 12-row blocks are one theta each (3 phis x 4 sign pairs)
+    monkeypatch.setattr(mg, "CSV_BLOCK_ROWS", block_rows)
+    mesh = mg.surface_mesh(7, 3)
+    stream = _WriteOnly()
+    mg.write_mesh_csv(mesh, stream)
+    want = _csv_one_point_at_a_time(mesh)
+    rows = want.splitlines(keepends=True)[1:]
+    header, *blocks = stream.calls
+    assert header == "v_AB,v_BC,v_AC,theta,phi,s1,s2\n"
+    assert len(blocks) == -(-len(mesh) // block_rows)
+    for start, text in zip(range(0, len(mesh), block_rows), blocks):
+        assert text.endswith("\n")
+        assert text == "".join(rows[start : start + block_rows])
+    assert "".join(stream.calls) == want
+
+
 def _same_point(p, q):
     return (
         (p.theta, p.phi, p.s1, p.s2) == (q.theta, q.phi, q.s1, q.s2)
@@ -243,3 +271,30 @@ def test_audit_draw_budget_refuses_before_sharding(monkeypatch):
         mg.region_audit(mg.AUDIT_MAX_DRAWS + 1, 1)
     with pytest.raises(CapacityError):
         mg.region_audit(1, 1, mixed_samples=mg.AUDIT_MAX_DRAWS)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mg.surface_mesh(2.9, 3),
+        lambda: mg.surface_mesh(3, 2.0),
+        lambda: mg.region_audit(20000.7, 3),
+        lambda: mg.region_audit(20000, 3.5),
+        lambda: mg.region_audit(20000, 3, mixed_samples=2.5),
+        lambda: mg.theta_family_margin([0.0, 0.0, 0.0], 2.5),
+        lambda: mg.RegionCheck.evaluate([0.0, 0.0, 0.0], theta_grid="720"),
+    ],
+    ids=["theta-steps", "phi-steps", "samples", "seed", "mixed-samples", "grid", "check-grid-str"],
+)
+def test_count_arguments_refuse_non_integers(call):
+    # int() would truncate 2.9 to a 2-step mesh and 20000.7 to 20000 draws
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
+
+
+def test_count_arguments_take_numpy_integers():
+    assert len(mg.surface_mesh(np.int64(3), np.int32(2))) == 24
+    report = mg.region_audit(np.int64(100), np.uint8(3), mixed_samples=np.int16(10))
+    assert report == mg.region_audit(100, 3, mixed_samples=10)
+    assert type(report.seed) is int
+    assert mg.theta_family_margin([0.0, 0.0, 0.0], np.int64(8)) == mg.theta_family_margin([0.0, 0.0, 0.0], 8)

@@ -119,6 +119,22 @@ def test_mixed_state_rejects_bad_matrices():
         st.MixedState(3, 1.2 * psi - 0.2 * np.eye(6) / 6.0 + 0.0j)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_mixed_state_names_a_nonfinite_entry(bad):
+    # NaN compares false, so the Hermiticity and trace checks let it through
+    rho = np.eye(6, dtype=np.complex128) / 6.0
+    rho[2, 4] = bad
+    with pytest.raises(ValidationError, match=r"entry \(2, 4\) is .*not finite"):
+        st.MixedState(3, rho)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, -np.inf]])
+def test_mixture_names_a_nonfinite_weight(weights):
+    components = [st.named_state("eq5"), st.named_state("eq6")]
+    with pytest.raises(ValidationError, match="mixture weights must be finite"):
+        st.MixedState.from_mixture(weights, components)
+
+
 def test_mixed_state_byte_gate_refuses_before_allocating():
     assert 720 * 720 * 16 <= st.DENSITY_MAX_BYTES  # n = 6 is admitted
     with pytest.raises(CapacityError):
