@@ -5,14 +5,31 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import importlib.util
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import extremal, group_core, monogamy, npartite, observables, states
+from . import group_core, monogamy, observables, states
 from .errors import ConvergenceError, InfeasibleError, StatmonError, ValidationError
-from .selftest import run_selftest
+
+
+def _lazy(name: str):
+    """statmon.<name>, put in sys.modules now but run on its first attribute
+    access, so a command pays only for the layers it reaches.  LazyLoader is
+    not thread-safe before Python 3.12: touch these from the main thread."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+extremal, npartite, selftest = map(_lazy, ("extremal", "npartite", "selftest"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,7 +189,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest()
+    results = selftest.run_selftest()
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer-argument
+checks that raise it."""
+
+import operator
 
 
 class StatmonError(Exception):
@@ -24,3 +27,21 @@ class InfeasibleError(StatmonError):
 
 class ConvergenceError(StatmonError, RuntimeError):
     """Internal numerical failure; indicates a bug, not bad input."""
+
+
+def as_count(value, what: str) -> int:
+    """`value` as an int when it is an integer (Python or numpy); floats and
+    other non-integers are refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_seed(value) -> int:
+    """A non-negative integer RNG seed; anything else is a ValidationError
+    rather than numpy's bare TypeError or ValueError."""
+    seed = as_count(value, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return seed

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import group_core, observables, states
 from .eigh import symmetric_spectrum
-from .errors import CapacityError, ConvergenceError, InfeasibleError, ValidationError
+from .errors import CapacityError, ConvergenceError, InfeasibleError, ValidationError, as_count, as_seed
 
 KERNEL_TOL = 1e-10
 RESULT_TOL = 1e-9
@@ -238,7 +238,7 @@ def random_search_max(
     evaluation is an expectation of an actual state, so the result is a
     certified lower bound on the true maximum.
     """
-    samples = int(samples)
+    samples, seed = as_count(samples, "samples"), as_seed(seed)
     if samples < SEARCH_RESTARTS * SEARCH_ROUNDS:
         raise ValidationError("sample budget too small for the restart schedule")
     dim = group_core.factorial_dim(objective.n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import itertools
-import operator
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import observables, states
-from .errors import CapacityError, ConvergenceError, ValidationError
+from .errors import CapacityError, ConvergenceError, ValidationError, as_count, as_seed
 
 MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -44,15 +44,6 @@ def _validate_v(v) -> np.ndarray:
     return arr
 
 
-def _count(value, what: str) -> int:
-    """`value` as an int when it is an integer (Python or numpy); floats and
-    other non-integers are refused rather than truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _theta_lhs(v: np.ndarray, theta):
     return abs(v[0] + v[1] + v[2]) + np.abs(
         (2.0 * v[0] - v[1] - v[2]) * np.cos(theta) + np.sqrt(3.0) * (v[1] - v[2]) * np.sin(theta)
@@ -62,13 +53,16 @@ def _theta_lhs(v: np.ndarray, theta):
 def check_theta(v, theta: float) -> float:
     """Left-hand side |v_AB+v_BC+v_AC| + |(2v_AB-v_BC-v_AC)cos(theta)
     + sqrt(3)(v_BC-v_AC)sin(theta)|; membership requires <= 3."""
-    return float(_theta_lhs(_validate_v(v), float(theta)))
+    v, theta = _validate_v(v), float(theta)
+    if not math.isfinite(theta):  # the form is 2pi-periodic: any finite angle is valid
+        raise ValidationError(f"theta must be finite, got {theta}")
+    return float(_theta_lhs(v, theta))
 
 
 def theta_family_margin(v, grid: int = THETA_GRID_DEFAULT) -> float:
     """min over a theta grid of (3 - lhs); approximate with O(dtheta^2) error."""
     v = _validate_v(v)
-    grid = _count(grid, "theta grid")
+    grid = as_count(grid, "theta grid")
     if grid < 1:
         raise ValidationError("theta grid must have at least one point")
     if grid > THETA_GRID_MAX:
@@ -187,7 +181,7 @@ def surface_mesh(theta_steps: int, phi_steps: int) -> SurfaceMesh:
     two apexes at phi = 0); duplicates are emitted as-is.  Meshes above
     MESH_MAX_ROWS rows are refused before anything is allocated.
     """
-    theta_steps, phi_steps = _count(theta_steps, "theta steps"), _count(phi_steps, "phi steps")
+    theta_steps, phi_steps = as_count(theta_steps, "theta steps"), as_count(phi_steps, "phi steps")
     if theta_steps < 2 or phi_steps < 2:
         raise ValidationError("mesh needs at least 2 steps per axis")
     if 4 * theta_steps * phi_steps > MESH_MAX_ROWS:
@@ -293,12 +287,10 @@ def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport
     from (seed, kind, shard index), so results are independent of the thread
     count; `samples` in the report counts pure plus mixed draws.
     """
-    samples, mixed_samples = _count(samples, "samples"), _count(mixed_samples, "mixed samples")
-    seed = _count(seed, "seed")
+    samples, mixed_samples = as_count(samples, "samples"), as_count(mixed_samples, "mixed samples")
+    seed = as_seed(seed)
     if samples < 1 or mixed_samples < 0:
         raise ValidationError("audit needs at least one pure sample")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
     if samples + mixed_samples > AUDIT_MAX_DRAWS:
         raise CapacityError(
             f"audit of {samples} + {mixed_samples} draws is over the budget of {AUDIT_MAX_DRAWS}"
@@ -310,6 +302,7 @@ def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport
     ]
     import concurrent.futures  # here, not at the top: it imports logging, which only audits need
 
+    observables.w_frame()  # fill its cache here: pool threads that miss it together each build it
     with concurrent.futures.ThreadPoolExecutor(max_workers=default_thread_count()) as pool:
         results = list(pool.map(lambda job: _shard(seed, *job), jobs))
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import eigh, group_core
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, as_seed
 
 NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
@@ -131,7 +131,7 @@ def random_pure_state(n: int, seed: int) -> PureState:
 
     Deterministic for a fixed seed.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     return PureState(n, random_amplitudes(n, 1, rng)[0])
 
 

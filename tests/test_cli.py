@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -247,13 +248,83 @@ def test_closed_output_pipe_exits_quietly():
     assert b"Traceback" not in err
 
 
-def test_importing_the_cli_leaves_out_the_thread_pool():
-    # concurrent.futures pulls in logging: a few ms of import that only audit needs
+def _fresh_python(code: str):
+    """The JSON last line that `code` prints in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(statmon.__file__).parents[1]))
-    code = "import sys, statmon.cli; print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Each command's layers after `import statmon.cli` and `main(argv)`: extremal,
+# npartite and selftest sit in sys.modules from the start (perfbench's tracer
+# looks them up there) but run only when a command touches them.
+_LAYER_PROBE = """
+import contextlib, io, json, sys, types
+import statmon.cli
+
+def layers():
+    names = ("statmon.extremal", "statmon.npartite", "statmon.selftest")
+    return {m.split(".")[1]: "absent" if m not in sys.modules
+            else "run" if type(sys.modules[m]) is types.ModuleType else "lazy" for m in names}
+
+seen = {"import": layers()}
+for argv in %s:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        statmon.cli.main(argv)
+    seen[argv[0]] = layers()
+seen["pool"] = [m for m in ("concurrent.futures", "logging") if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_importing_the_cli_leaves_out_the_thread_pool():
+    # concurrent.futures pulls in logging: a few ms of import that only audit needs
+    argvs = [["check", "--v", "0.6,0.6,-0.6"], ["--help"], ["extremal", "--objective", "AB:1,BC:-1"]]
+    seen = _fresh_python(_LAYER_PROBE % argvs)
+    untouched = {"extremal": "lazy", "npartite": "lazy", "selftest": "lazy"}
+    assert seen["import"] == seen["check"] == seen["--help"] == untouched
+    assert seen["extremal"] == dict(untouched, extremal="run")
+    assert seen["pool"] == []
+
+
+def test_importing_the_package_runs_no_layer():
+    code = "import json, sys, statmon; print(json.dumps(sorted(m for m in sys.modules if 'statmon' in m)))"
+    seen = _fresh_python(code)
+    assert seen == ["statmon"]
+
+
+STATMON_ALL = [
+    "AuditReport", "BasisOrdering", "CapacityError", "Constraint", "ContractError", "ConvergenceError",
+    "ExchangeOperator", "ExtremalResult", "InfeasibleError", "MixedState", "NAMED_STATES", "Objective",
+    "Pair", "PermutationOperator", "PureState", "RegionCheck", "ScenarioBound", "ScenarioGraph",
+    "SpectralDecomposition", "StatmonError", "SurfaceMesh", "SurfacePoint", "ValidationError", "WFrame",
+    "all_exchange_operators", "antibunching_probability", "apply", "bunching_probability",
+    "canonical_pairs", "check_sqrt", "check_theta", "chi_state", "constrained_extremal",
+    "constraint_projector", "cyclic_operator", "eigh", "equal_up_to_global_phase", "errors",
+    "exchange_operator", "expectation", "extremal", "group_core", "joint_eigenspace_basis",
+    "max_expectation", "monogamy", "named_state", "normalize", "npartite", "observables",
+    "random_pure_state", "random_search_max", "region_audit", "relabel", "scenario_report",
+    "spectral_bound", "state_from_jsonable", "state_to_jsonable", "states", "surface_mesh",
+    "surface_state", "symmetric_ray_extreme", "symmetric_spectrum", "theta_family_margin",
+    "triangle_bounds", "v_vector", "w_frame", "w_theta", "write_mesh_csv",
+]
+SUBMODULES = ("eigh", "errors", "extremal", "group_core", "monogamy", "npartite", "observables", "states")
+
+
+def test_package_exports_resolve_to_their_submodule_objects():
+    assert statmon.__all__ == STATMON_ALL
+    assert set(STATMON_ALL) <= set(dir(statmon))
+    modules = [importlib.import_module(f"statmon.{m}") for m in SUBMODULES]
+    for name in STATMON_ALL:
+        value = getattr(statmon, name)
+        if name in SUBMODULES:
+            assert value is sys.modules[f"statmon.{name}"]
+            continue
+        holders = [m for m in modules if name in vars(m)]
+        assert holders and all(vars(m)[name] is value for m in holders), name
+    with pytest.raises(AttributeError):
+        statmon.not_a_name
 
 
 STATE3 = {"n": 3, "ordering": "paper3", "amplitudes": [[1, 0]] + [[0, 0]] * 5}

@@ -134,6 +134,22 @@ def test_symmetric_ray_extreme():
         ex.symmetric_ray_extreme([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"samples": 20000.7}, "samples must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ],
+    ids=["samples-float", "seed-float", "seed-negative"],
+)
+def test_random_search_refuses_bad_samples_and_seed(kwargs, message):
+    # int() truncated 20000.7 to 20000 states; numpy raised bare TypeError/ValueError for the seeds
+    obj = ex.Objective.from_pairs(3, {"AB": 1, "BC": 1, "AC": 1})
+    with pytest.raises(ValidationError, match=message):
+        ex.random_search_max(obj, **{"samples": 600, "seed": 5, **kwargs})
+
+
 def test_random_search_is_a_lower_bound_that_improves():
     obj = ex.Objective.from_pairs(3, {"AB": 1, "BC": 1, "AC": 1})
     lam = ex.max_expectation(obj).value

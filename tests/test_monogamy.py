@@ -48,6 +48,19 @@ def test_check_validates_range():
         mg.check_theta([0.0, np.nan, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_check_theta_refuses_a_nonfinite_angle(theta):
+    # cos/sin of NaN or inf gave nan and a RuntimeWarning, not a refusal
+    with pytest.raises(ValidationError, match="theta must be finite"):
+        mg.check_theta([0.1, 0.2, 0.3], theta)
+
+
+@pytest.mark.parametrize("turns", [-3, -1, 1, 7])
+def test_check_theta_is_periodic(turns):
+    v = [0.6, 0.6, -0.6]
+    assert abs(mg.check_theta(v, 0.9 + 2.0 * np.pi * turns) - mg.check_theta(v, 0.9)) < 1e-12
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     arrays(

@@ -75,6 +75,19 @@ def test_random_state_deterministic_and_normalized():
     assert not np.array_equal(a.amplitudes, st.random_pure_state(4, 78).amplitudes)
 
 
+@pytest.mark.parametrize(
+    "seed, message", [(1.5, "must be an integer"), ("7", "must be an integer"), (-1, "non-negative")]
+)
+def test_random_state_refuses_a_bad_seed(seed, message):
+    with pytest.raises(ValidationError, match=message):
+        st.random_pure_state(3, seed)
+
+
+def test_random_state_takes_a_numpy_integer_seed():
+    psi = st.random_pure_state(3, np.int64(77))
+    assert np.array_equal(psi.amplitudes, st.random_pure_state(3, 77).amplitudes)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_random_amplitudes_keep_the_two_call_draw(n):
     dim = gc.factorial_dim(n)
