@@ -30,8 +30,10 @@ class ConvergenceError(StatmonError, RuntimeError):
 
 
 def as_count(value, what: str) -> int:
-    """`value` as an int when it is an integer (Python or numpy); floats and
-    other non-integers are refused rather than truncated."""
+    """`value` as an int when it is an integer (Python or numpy); floats,
+    bools and other non-integers are refused rather than truncated."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:

@@ -65,7 +65,10 @@ class Objective:
             pair = key if isinstance(key, group_core.Pair) else group_core.Pair.parse(str(key))
             if pair in lookup:
                 raise ValidationError(f"duplicate objective pair {pair}")
-            lookup[pair] = float(value)
+            try:
+                lookup[pair] = float(value)
+            except (TypeError, ValueError):
+                raise ValidationError(f"objective weight for {pair} must be a number, got {value!r}") from None
         unknown = set(lookup) - set(pairs)
         if unknown:
             raise ValidationError(f"pairs {sorted(map(str, unknown))} invalid for n = {n}")
@@ -77,8 +80,7 @@ class Objective:
         return float(np.abs(self.weights).sum())
 
     def matrix(self) -> np.ndarray:
-        ops = group_core.all_exchange_operators(self.n)
-        return sum(c * op.matrix() for c, op in zip(self.weights, ops))
+        return group_core.exchange_matrix(self.n, self.weights)
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
     for c in constraints:
         if seen.setdefault(c.pair, c.value) != c.value:
             raise InfeasibleError(f"conflicting constraints on pair {c.pair}")
-    signed = Objective(n, [seen.get(p, 0) for p in group_core.canonical_pairs(n)]).matrix()
+    signed = group_core.exchange_matrix(n, [seen.get(p, 0) for p in group_core.canonical_pairs(n)])
     accum = np.eye(group_core.factorial_dim(n)) * (len(seen) / 2.0) - signed / 2.0
     dec = symmetric_spectrum(accum)
     kernel = np.abs(dec.eigenvalues) <= KERNEL_TOL
@@ -198,19 +200,24 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
 def symmetric_ray_extreme(direction) -> float:
     """Largest t such that t * direction still satisfies the membership test.
 
-    Closed form from the sqrt relation: t = 1 / (|w1.d| + hypot(w2.d, w3.d)).
+    Closed form from the sqrt relation: t = 1 / (|w1.d| + hypot(w2.d, w3.d)),
+    taken on d / max|d| so that tiny or huge d neither underflow nor overflow.
     Cross-validated by building the boundary state at that point and
     comparing its measured v-vector.
     """
     d = np.asarray(direction, dtype=np.float64).reshape(-1)
     if d.shape != (3,):
         raise ValidationError(f"direction must have 3 components, got {d.shape}")
-    if not np.all(np.isfinite(d)) or np.linalg.norm(d) == 0.0:
+    scale = np.abs(d).max()
+    if not np.isfinite(scale) or scale == 0.0:
         raise ValidationError("direction must be a finite nonzero vector")
+    unit = d / scale
     w1, w2, w3 = observables.w_frame().vectors()
-    lhs = abs(w1 @ d) + np.hypot(w2 @ d, w3 @ d)
-    t = float(1.0 / lhs)
-    boundary_v = t * d
+    unit_t = 1.0 / (abs(w1 @ unit) + np.hypot(w2 @ unit, w3 @ unit))
+    t = float(unit_t) / float(scale)  # Python floats: an overflow gives inf, not a warning
+    if not np.isfinite(t):
+        raise ValidationError(f"the boundary lies beyond float range along {d.tolist()}")
+    boundary_v = unit_t * unit
 
     axial = float(w1 @ boundary_v)
     cos2 = min(1.0, abs(axial))

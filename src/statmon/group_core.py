@@ -133,7 +133,7 @@ def lex_rank(words: np.ndarray) -> np.ndarray:
 class BasisOrdering:
     """Bijection between occupation words and basis indices in [0, n!)."""
 
-    __slots__ = ("n", "kind", "words", "word_array", "_index", "_from_lex")
+    __slots__ = ("n", "kind", "words", "word_array", "_from_lex")
 
     def __init__(self, n: int, kind: str):
         n = validate_box_count(n)
@@ -150,7 +150,6 @@ class BasisOrdering:
         self.words = words
         self.word_array = np.array(words, dtype=np.int64)
         self.word_array.setflags(write=False)
-        self._index = {w: i for i, w in enumerate(words)}
         self._from_lex = np.empty(len(words), dtype=np.int64)
         self._from_lex[lex_rank(self.word_array)] = np.arange(len(words))
 
@@ -165,7 +164,7 @@ class BasisOrdering:
 
     def word_to_index(self, word) -> int:
         w = validate_word(word, self.n)
-        return self._index[w]
+        return int(self.indices(np.array([w]))[0])
 
     def indices(self, words: np.ndarray) -> np.ndarray:
         """Basis index of each row of an (M, n) array of words, which must
@@ -294,6 +293,22 @@ def exchange_operator(n: int, pair: Pair) -> ExchangeOperator:
 def all_exchange_operators(n: int) -> tuple[ExchangeOperator, ...]:
     """Exchange operators for every canonical pair, in canonical pair order."""
     return tuple(exchange_operator(n, p) for p in canonical_pairs(n))
+
+
+def exchange_matrix(n: int, weights) -> np.ndarray:
+    """Dense matrix of sum_XY c_XY Pi_XY, one weight per canonical pair in
+    canonical pair order (not checked); a stack of weight rows gives the
+    stack of their matrices.
+
+    Distinct exchanges send a word to distinct words, so every entry is one
+    weight or zero and a single scatter builds the sum.
+    """
+    dim = factorial_dim(n)
+    weights = np.asarray(weights, dtype=np.float64)
+    M = np.zeros(weights.shape[:-1] + (dim, dim))
+    mappings = np.array([op.mapping for op in all_exchange_operators(n)])
+    M[..., mappings, np.arange(dim)] = weights[..., None]
+    return M
 
 
 def cyclic_operator() -> PermutationOperator:

@@ -264,19 +264,12 @@ def _shard(seed: int, mixed: bool, index: int, count: int) -> tuple[float, int]:
 
 
 def default_thread_count() -> int:
-    """STATMON_THREADS, capped at the hardware thread count (the default):
-    more threads than cores only hold more shard arrays at once."""
-    cores = os.cpu_count() or 1
-    env = os.environ.get("STATMON_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValidationError(f"STATMON_THREADS must be an integer, got {env!r}")
-        if threads < 1:
-            raise ValidationError("STATMON_THREADS must be >= 1")
-        return min(threads, cores)
-    return cores
+    """The CPUs this process may run on (its affinity set, which taskset and
+    cpusets limit) where the OS reports it, else the CPU count: more threads
+    than cores only hold more shard arrays at once."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport:

@@ -119,9 +119,13 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
 
 def v_vector(state: PureState | MixedState) -> np.ndarray:
     """Exchange expectations over canonical pairs; for n = 3 the order is
-    (v_AB, v_BC, v_AC)."""
-    ops = group_core.all_exchange_operators(state.n)
-    return np.array([expectation(state, op) for op in ops])
+    (v_AB, v_BC, v_AC). A pure state is one row of exchange_rows, so it gets
+    the same bits as in any batch."""
+    if isinstance(state, PureState):
+        return exchange_rows(state.amplitudes[None, :], state.n)[0]
+    if isinstance(state, MixedState):
+        return np.array([expectation(state, op) for op in group_core.all_exchange_operators(state.n)])
+    raise ValidationError(f"unsupported state type {type(state).__name__}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,7 @@ def w_frame() -> WFrame:
     w1 = np.array([1.0, 1.0, 1.0]) / 3.0
     w2 = np.array([2.0, -1.0, -1.0]) / 3.0
     w3 = np.array([0.0, 1.0, -1.0]) / np.sqrt(3.0)
-    mats = [op.matrix() for op in group_core.all_exchange_operators(3)]
-    W1, W2, W3 = (sum(c * M for c, M in zip(w, mats)) for w in (w1, w2, w3))
+    W1, W2, W3 = group_core.exchange_matrix(3, [w1, w2, w3])
     for arr in (w1, w2, w3, W1, W2, W3):
         arr.setflags(write=False)
     return WFrame(w1, w2, w3, W1, W2, W3)

@@ -199,49 +199,29 @@ class MixedState:
         return self.matrix.shape[0]
 
 
-def _word_sign(word: group_core.Word) -> int:
-    """Parity of the word read as the permutation k -> word[k]."""
-    w = list(word)
-    sign = 1
-    for i in range(len(w)):
-        while w[i] != i:
-            j = w[i]
-            w[i], w[j] = w[j], w[i]
-            sign = -sign
-    return sign
+_R6 = 1.0 / np.sqrt(6.0)
+
+# Catalog states given word by word, as {word: amplitude}
+_CATALOG3 = {
+    "sym_plus": dict.fromkeys(("ABC", "BAC", "CAB", "CBA", "ACB", "BCA"), _R6),
+    # each word's amplitude carries the sign of its permutation
+    "antisym_minus": {"ABC": _R6, "BAC": -_R6, "CAB": _R6, "CBA": -_R6, "ACB": -_R6, "BCA": _R6},
+    # (|ABC> + |BAC> - |ACB> - |BCA>) / 2: bosonic AB pair with the most
+    # fermionic BC/AC behavior, v = (1, -1/2, -1/2)
+    "eq5": {"ABC": 0.5, "BAC": 0.5, "ACB": -0.5, "BCA": -0.5},
+    # fermionic AB pair with the most bosonic rest, v = (-1, 1/2, 1/2)
+    "eq6": {"ABC": 0.5, "BAC": -0.5, "ACB": 0.5, "BCA": -0.5},
+    # component of the nontransitive state, v = (1/2, 1/2, -1)
+    "phi_eq23": {"ABC": 0.5, "BAC": 0.5, "CBA": -0.5, "BCA": -0.5},
+}
 
 
 @lru_cache(maxsize=None)
 def _catalog3(name: str) -> tuple[complex, ...]:
     ordering = group_core.BasisOrdering.canonical(3)
-    idx = ordering.word_to_index
     amps = np.zeros(6, dtype=np.complex128)
-    if name == "sym_plus":
-        amps[:] = 1.0 / np.sqrt(6.0)
-    elif name == "antisym_minus":
-        for i, w in enumerate(ordering.words):
-            amps[i] = _word_sign(w) / np.sqrt(6.0)
-    elif name == "eq5":
-        # (|ABC> + |BAC> - |ACB> - |BCA>) / 2: bosonic AB pair with the most
-        # fermionic BC/AC behavior, v = (1, -1/2, -1/2)
-        amps[idx(group_core.parse_word("ABC"))] = 0.5
-        amps[idx(group_core.parse_word("BAC"))] = 0.5
-        amps[idx(group_core.parse_word("ACB"))] = -0.5
-        amps[idx(group_core.parse_word("BCA"))] = -0.5
-    elif name == "eq6":
-        # fermionic AB pair with the most bosonic rest, v = (-1, 1/2, 1/2)
-        amps[idx(group_core.parse_word("ABC"))] = 0.5
-        amps[idx(group_core.parse_word("BAC"))] = -0.5
-        amps[idx(group_core.parse_word("ACB"))] = 0.5
-        amps[idx(group_core.parse_word("BCA"))] = -0.5
-    elif name == "phi_eq23":
-        # component of the nontransitive state, v = (1/2, 1/2, -1)
-        amps[idx(group_core.parse_word("ABC"))] = 0.5
-        amps[idx(group_core.parse_word("BAC"))] = 0.5
-        amps[idx(group_core.parse_word("CBA"))] = -0.5
-        amps[idx(group_core.parse_word("BCA"))] = -0.5
-    else:
-        raise ValidationError(f"unknown named state {name!r}")
+    for word, amp in _CATALOG3[name].items():
+        amps[ordering.word_to_index(group_core.parse_word(word))] = amp
     return tuple(amps)
 
 
@@ -295,9 +275,5 @@ def state_from_jsonable(obj: dict) -> PureState:
     canonical = group_core.BasisOrdering.canonical(n)
     if amps.shape[0] != source.dim:
         raise ValidationError(f"expected {source.dim} amplitudes for n = {n}, got {amps.shape[0]}")
-    if source != canonical:
-        permuted = np.empty_like(amps)
-        for i, word in enumerate(source.words):
-            permuted[canonical.word_to_index(word)] = amps[i]
-        amps = permuted
-    return PureState(n, amps)
+    # entry k: the source amplitude of the canonical basis's k-th word
+    return PureState(n, amps[source.indices(canonical.word_array)])

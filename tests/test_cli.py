@@ -171,14 +171,6 @@ def test_audit_byte_identical_reruns(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("threads", ["0", "x"])
-def test_audit_bad_thread_count_is_a_usage_error(monkeypatch, capsys, threads):
-    monkeypatch.setenv("STATMON_THREADS", threads)
-    code, out, err = run(capsys, "audit", "--samples", "10", "--seed", "1")
-    assert code == 1 and out == ""
-    assert err.startswith("statmon: error: STATMON_THREADS")
-
-
 def test_extremal_constrained(capsys):
     code, out, _ = run(capsys, "extremal", "--fix", "AB=1", "--objective", "BC:-1")
     assert code == 0

@@ -32,6 +32,12 @@ def test_objective_names_the_nonfinite_weight(bad):
         ex.Objective.from_pairs(4, {"AB": 1.0, "CD": bad})
 
 
+@pytest.mark.parametrize("bad", ["x", None, [1.0]])
+def test_objective_refuses_a_non_numeric_weight(bad):
+    with pytest.raises(ValidationError, match="weight for AB must be a number"):
+        ex.Objective.from_pairs(3, {"AB": bad})
+
+
 def test_constraint_requires_unit_values():
     with pytest.raises(ValidationError):
         ex.Constraint(P("AB"), 0)
@@ -132,6 +138,19 @@ def test_symmetric_ray_extreme():
     assert abs(ex.symmetric_ray_extreme([2.0, 2.0, -2.0]) - 0.3) < 1e-9
     with pytest.raises(ValidationError):
         ex.symmetric_ray_extreme([0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e200])
+def test_symmetric_ray_extreme_scales_as_one_over_s(s):
+    # |d|^2 underflows at 1e-200 and overflows at 1e200; the closed form must not
+    d = np.array([0.3, -0.7, 0.2])
+    with np.errstate(all="raise"):
+        assert abs(ex.symmetric_ray_extreme(d * s) * s / ex.symmetric_ray_extreme(d) - 1.0) <= 1e-14
+
+
+def test_symmetric_ray_extreme_refuses_a_multiplier_beyond_float_range():
+    with pytest.raises(ValidationError, match="beyond float range"):
+        ex.symmetric_ray_extreme([1e-310, 0.0, 0.0])
 
 
 @pytest.mark.parametrize(

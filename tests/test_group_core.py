@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from statmon import group_core as gc
@@ -69,6 +70,15 @@ def test_exchange_mappings_match_per_word_relabeling(n):
     for pair in gc.canonical_pairs(n):
         expected = [ordering.word_to_index(gc.relabel(w, pair)) for w in ordering.words]
         assert gc.exchange_operator(n, pair).mapping.tolist() == expected
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_exchange_matrix_is_the_weighted_sum_of_exchange_matrices(n):
+    weights = np.random.default_rng(n).uniform(-1.0, 1.0, size=len(gc.canonical_pairs(n)))
+    expected = sum(c * op.matrix() for c, op in zip(weights, gc.all_exchange_operators(n)))
+    assert gc.exchange_matrix(n, weights).tobytes() == expected.tobytes()
+    stack = gc.exchange_matrix(n, [weights, weights[::-1]])
+    assert stack.tobytes() == expected.tobytes() + gc.exchange_matrix(n, weights[::-1]).tobytes()
 
 
 def test_lex_rank_counts_permutations_in_order():

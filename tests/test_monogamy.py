@@ -122,7 +122,7 @@ def test_mesh_csv_format():
 
 def test_region_audit_clean_and_deterministic(monkeypatch):
     a = mg.region_audit(20000, 42, mixed_samples=2000)
-    monkeypatch.setenv("STATMON_THREADS", "1")
+    monkeypatch.setattr(mg, "default_thread_count", lambda: 1)
     b = mg.region_audit(20000, 42, mixed_samples=2000)
     assert a == b
     assert a.violations == 0
@@ -141,9 +141,9 @@ def test_shard_v_from_the_raw_draw_matches_the_normalized_route():
 
 
 def test_thread_count_is_capped_at_the_hardware_count(monkeypatch):
-    # read only: no pool is started
+    # read only: no pool is started; no environment variable changes the count
     monkeypatch.setenv("STATMON_THREADS", "1000000")
-    assert mg.default_thread_count() == (os.cpu_count() or 1)
+    assert mg.default_thread_count() == len(os.sched_getaffinity(0))
 
 
 def test_region_audit_named_states_on_boundary():
@@ -296,11 +296,19 @@ def test_audit_draw_budget_refuses_before_sharding(monkeypatch):
         lambda: mg.region_audit(20000, 3, mixed_samples=2.5),
         lambda: mg.theta_family_margin([0.0, 0.0, 0.0], 2.5),
         lambda: mg.RegionCheck.evaluate([0.0, 0.0, 0.0], theta_grid="720"),
+        lambda: mg.region_audit(True, 3),
+        lambda: mg.region_audit(100, True),
+        lambda: mg.region_audit(100, 3, mixed_samples=True),
+        lambda: mg.theta_family_margin([0.0, 0.0, 0.0], True),
     ],
-    ids=["theta-steps", "phi-steps", "samples", "seed", "mixed-samples", "grid", "check-grid-str"],
+    ids=[
+        "theta-steps", "phi-steps", "samples", "seed", "mixed-samples", "grid", "check-grid-str",
+        "samples-bool", "seed-bool", "mixed-samples-bool", "grid-bool",
+    ],
 )
 def test_count_arguments_refuse_non_integers(call):
-    # int() would truncate 2.9 to a 2-step mesh and 20000.7 to 20000 draws
+    # int() would truncate 2.9 to a 2-step mesh and 20000.7 to 20000 draws, and
+    # bool is an int subclass that would read as a 1-sample audit or a 1-point grid
     with pytest.raises(ValidationError, match="must be an integer"):
         call()
 

@@ -48,6 +48,16 @@ def test_v_vector_examples():
     assert np.abs(ob.v_vector(mix)).max() < 1e-12
 
 
+def test_v_vector_refuses_a_non_state():
+    with pytest.raises(ValidationError, match="unsupported state type ndarray"):
+        ob.v_vector(st.named_state("eq5").amplitudes)
+
+
+def test_pure_v_vector_is_its_exchange_rows_row():
+    psi = st.random_pure_state(4, 3)
+    assert np.array_equal(ob.v_vector(psi), ob.exchange_rows(psi.amplitudes[None, :], 4)[0])
+
+
 def test_w_frame_vectors():
     f = ob.w_frame()
     assert np.allclose(f.w1, np.ones(3) / 3.0)
@@ -155,8 +165,10 @@ def test_exchange_rows_matches_v_vector(n):
     rows = ob.exchange_rows(amps, n)
     subset = gc.canonical_pairs(n)[::-2]
     picked = ob.exchange_rows(amps, n, subset)
+    ops = gc.all_exchange_operators(n)
     for a, row, part in zip(amps, rows, picked):
-        v = ob.v_vector(st.PureState(n, a))
+        # per-operator expectations: a reference independent of exchange_rows
+        v = np.array([ob.expectation(st.PureState(n, a), op) for op in ops])
         assert np.abs(row - v).max() <= 1e-12
         expected = [v[gc.canonical_pairs(n).index(p)] for p in subset]
         assert np.abs(part - expected).max() <= 1e-12

@@ -76,7 +76,8 @@ def test_random_state_deterministic_and_normalized():
 
 
 @pytest.mark.parametrize(
-    "seed, message", [(1.5, "must be an integer"), ("7", "must be an integer"), (-1, "non-negative")]
+    "seed, message",
+    [(1.5, "must be an integer"), ("7", "must be an integer"), (True, "must be an integer"), (-1, "non-negative")],
 )
 def test_random_state_refuses_a_bad_seed(seed, message):
     with pytest.raises(ValidationError, match=message):
