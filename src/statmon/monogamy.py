@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import observables, states
+from . import group_core, observables, states
 from .errors import CapacityError, ConvergenceError, ValidationError, as_count, as_seed
 
 MEMBERSHIP_TOL = 1e-9
@@ -31,7 +31,8 @@ THETA_GRID_MAX = 2**20  # a few float arrays of this length: tens of MB
 MESH_MAX_ROWS = 2**20  # 120 MiB of arrays at the cap (amplitudes 96, v 24); about 147 MiB peak
 CSV_BLOCK_ROWS = 2**14  # rows formatted per write: about 1.3 MB of CSV text
 AUDIT_SHARD = 16384
-AUDIT_MAX_DRAWS = 2**30  # 65536 shards; at about 0.25 us per draw per core, minutes of work
+AUDIT_BLOCK_ROWS = 4096  # shard rows per kernel pass: their 384 KiB planar copy stays in L2
+AUDIT_MAX_DRAWS = 2**30  # 65536 shards; at about 0.3 us per draw per core, minutes of work
 _SIGNS = (1, -1)  # s1/s2 values along the sign axes of observables.chi_amplitudes
 
 
@@ -234,32 +235,82 @@ class AuditReport:
         }
 
 
+def _margins_of_w(u1, u2, u3):
+    """Margin 1 - (|u1| + sqrt(u2^2 + u3^2)) of W-frame coordinates u_i = w_i.v,
+    scalars or arrays. |v| <= 1 bounds them, so the squares cannot overflow."""
+    return 1.0 - (np.abs(u1) + np.sqrt(u2 * u2 + u3 * u3))
+
+
 def _margins_of_v(V: np.ndarray) -> np.ndarray:
     """check_sqrt's margin of one v-vector or of each row of a stack."""
-    w1, w2, w3 = observables.w_frame().vectors()
-    return 1.0 - (np.abs(V @ w1) + np.hypot(V @ w2, V @ w3))
+    return _margins_of_w(*(V @ w for w in observables.w_frame().vectors()))
 
 
-def _random_v(rng: np.random.Generator, count: int) -> np.ndarray:
-    """v-vectors of `count` random three-box pure states, taken on the raw
-    Gaussian draw z as <z|Pi_XY|z> / <z|z>: no normalized copy is made."""
-    z = states.gaussian_amplitudes(3, count, rng)
-    flat = z.view(np.float64)
-    return observables.exchange_rows(z, 3) / np.einsum("ri,ri->r", flat, flat)[:, None]
+def _w_coordinates(parts: np.ndarray) -> np.ndarray:
+    """W-frame coordinates (w1.v, w2.v, w3.v), shape (3, count), of the
+    three-box draws whose real and imaginary parts are `parts`, shape
+    (2, count, 6), as states.gaussian_parts gives them.
+
+    v is taken on the raw draw z as <z|Pi_XY|z> / <z|z>, so no normalized
+    copy is made. Rows are worked through in blocks of AUDIT_BLOCK_ROWS by
+    elementwise operations only, so a row gets the same bits alone as in
+    any batch.
+    """
+    lo, hi = observables.swapped_words(3, group_core.canonical_pairs(3))
+    count = parts.shape[1]
+    u = np.empty((3, count))
+    # one contiguous row per part and word, in one buffer for every block: a
+    # fresh copy per block cost the pool threads about 15x the page faults
+    block = np.empty((2, 6, min(count, AUDIT_BLOCK_ROWS)))
+    for start in range(0, count, AUDIT_BLOCK_ROWS):
+        rows = min(count - start, AUDIT_BLOCK_ROWS)
+        cols = block[:, :, :rows]
+        np.copyto(cols, parts[:, start:start + rows].transpose(0, 2, 1))
+        # per pair and part, the sum of the swapped words' products: the two
+        # parts' sums add to half of <z|Pi_XY|z>
+        sums = np.empty((3, 2, rows))
+        for pair_sum, pair_lo, pair_hi in zip(sums, lo, hi):
+            np.multiply(cols[:, pair_lo[0]], cols[:, pair_hi[0]], out=pair_sum)
+            for k, m in zip(pair_lo[1:], pair_hi[1:]):
+                pair_sum += cols[:, k] * cols[:, m]
+        ab, bc, ac = sums[:, 0] + sums[:, 1]
+        np.square(cols, out=cols)
+        cols[0] += cols[1]
+        norm = cols[0, 0] + cols[0, 1]
+        for word in range(2, 6):
+            norm += cols[0, word]
+        # w1 = (1, 1, 1)/3, w2 = (2, -1, -1)/3, w3 = (0, 1, -1)/sqrt(3), and
+        # v = 2 (ab, bc, ac) / <z|z>
+        u1, u2, u3 = u[:, start:start + rows]
+        bc_ac = bc + ac
+        scale = np.divide(2.0 / 3.0, norm)
+        np.add(ab, bc_ac, out=u1)
+        u1 *= scale
+        np.add(ab, ab, out=u2)
+        u2 -= bc_ac
+        u2 *= scale
+        np.subtract(bc, ac, out=u3)
+        u3 *= np.divide(2.0 / math.sqrt(3.0), norm, out=scale)
+    return u
+
+
+def _shard_coordinates(seed: int, mixed: bool, index: int, count: int) -> np.ndarray:
+    """W-frame coordinates, shape (3, count), of one shard's random pure
+    states or, when `mixed`, of its two-component mixtures."""
+    rng = np.random.default_rng([seed, int(mixed), index])
+    u = _w_coordinates(states.gaussian_parts(3, count, rng))
+    if mixed:
+        b = _w_coordinates(states.gaussian_parts(3, count, rng))
+        weight = rng.uniform(0.0, 1.0, size=count)
+        # v, and so each coordinate, is linear in the density matrix: a
+        # two-component mixture's is the weighted average of the components'
+        u = weight * u + (1.0 - weight) * b
+    return u
 
 
 def _shard(seed: int, mixed: bool, index: int, count: int) -> tuple[float, int]:
-    """Minimum margin and violation count of one shard of pure states or,
-    when `mixed`, of two-component mixtures."""
-    rng = np.random.default_rng([seed, int(mixed), index])
-    V = _random_v(rng, count)
-    if mixed:
-        b = _random_v(rng, count)
-        weight = rng.uniform(0.0, 1.0, size=count)[:, None]
-        # v is linear in the density matrix, so a two-component mixture's v is
-        # the weighted average of the components' v-vectors
-        V = weight * V + (1.0 - weight) * b
-    margins = _margins_of_v(V)
+    """Minimum margin and violation count of one shard."""
+    margins = _margins_of_w(*_shard_coordinates(seed, mixed, index, count))
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
 

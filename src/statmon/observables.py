@@ -67,6 +67,22 @@ def expectation(state: PureState | MixedState, op) -> float:
     return float(value.real)
 
 
+def swapped_words(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Word indices (lo, hi), each of shape (len(pairs), n!/2): Pi_XY of the
+    p-th pair swaps word lo[p, j] < hi[p, j] with word hi[p, j] and no other.
+
+    So Re<psi|Pi_XY|psi> is twice the sum over j of Re a_lo Re a_hi +
+    Im a_lo Im a_hi.
+    """
+    lo, hi = [], []
+    for pair in pairs:
+        m = group_core.exchange_operator(n, pair).mapping
+        k = np.flatnonzero(m > np.arange(m.size))
+        lo.append(k)
+        hi.append(m[k])
+    return np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+
+
 def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
     """Batched <psi|Pi_XY|psi> for every unit amplitude row of `amps`.
 
@@ -90,16 +106,8 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
         flat, parts = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64), 2
     else:
         flat, parts = np.ascontiguousarray(amps, dtype=np.float64), 1
-    # Pi_XY swaps basis words in pairs (k, m(k)), so Re<psi|Pi_XY|psi> is
-    # twice the sum over k < m(k) of Re a_k Re a_m(k) + Im a_k Im a_m(k)
-    lo, hi = [], []
-    for pair in pairs:
-        m = group_core.exchange_operator(n, pair).mapping
-        k = np.flatnonzero(m > np.arange(dim))
-        lo.append(k)
-        hi.append(m[k])
     # flat column indices ordered (part, k < m(k), pair)
-    lo, hi = ((parts * np.array(ix).T + np.arange(parts)[:, None, None]).ravel() for ix in (lo, hi))
+    lo, hi = ((parts * ix.T + np.arange(parts)[:, None, None]).ravel() for ix in swapped_words(n, pairs))
     step = max(2, ROW_BLOCK_BYTES // (8 * lo.size))
     for start in range(0, len(amps), step):
         block = flat[start:start + step].T
@@ -243,6 +251,7 @@ def antibunching_probability(v: float) -> float:
 
 __all__ = [
     "expectation",
+    "swapped_words",
     "exchange_rows",
     "v_vector",
     "WFrame",

@@ -286,7 +286,7 @@ def double_cone_geometry():
     """|w1.v| plus the radial part equals 1 on the surface; apexes at
     +-(1,1,1)."""
     V = monogamy.surface_mesh(12, 7).v
-    # the margin is 1 - (|w1.v| + hypot(w2.v, w3.v)), the cone equation's residual
+    # the margin is 1 - (|w1.v| + sqrt((w2.v)^2 + (w3.v)^2)), the cone equation's residual
     worst = np.abs(monogamy._margins_of_v(V)).max()
     for apex in (np.ones(3), -np.ones(3)):
         assert np.linalg.norm(V - apex, axis=1).min() <= 1e-12
@@ -300,6 +300,27 @@ def region_audit_sample():
     assert report.violations == 0
     assert report.min_margin >= -monogamy.MEMBERSHIP_TOL
     return f"22000 samples, min margin {report.min_margin:.6f}, zero violations"
+
+
+@_check
+def audit_kernel_cross_check():
+    """Audit shards read W-frame coordinates straight off the planar draw;
+    the same streams, normalized and run through exchange_rows, give the same
+    coordinates for a partial pure shard and for mixtures."""
+    frame = np.array(observables.w_frame().vectors()).T
+    worst = 0.0
+    for mixed, count in ((False, 4099), (True, 64)):
+        rng = np.random.default_rng([41, int(mixed), 2])
+        V = observables.exchange_rows(states.random_amplitudes(3, count, rng), 3)
+        if mixed:
+            b = observables.exchange_rows(states.random_amplitudes(3, count, rng), 3)
+            weight = rng.uniform(0.0, 1.0, size=count)[:, None]
+            V = weight * V + (1.0 - weight) * b
+        shard = monogamy._shard_coordinates(41, mixed, 2, count)
+        worst = max(worst, np.abs(shard.T - V @ frame).max())
+    # |v| <= 1, so an absolute gap of 1e-15 is relative to the coordinates' scale
+    assert worst <= 1e-15
+    return f"4099 pure and 64 mixed draws: shard vs exchange_rows residual <= {worst:.1e}"
 
 
 @_check

@@ -109,12 +109,17 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-9) -> b
     return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
 
 
+def gaussian_parts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(2, count, n!) iid standard normals: every real part, then every
+    imaginary part, of `count` complex Gaussian rows in one draw from `rng`."""
+    return rng.standard_normal((2, count, group_core.factorial_dim(n)))
+
+
 def gaussian_amplitudes(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, n!) iid standard complex Gaussians, not normalized: every real
-    part, then every imaginary part, in one draw from `rng`."""
-    dim = group_core.factorial_dim(n)
-    parts = rng.standard_normal((2, count, dim))
-    z = np.empty((count, dim), dtype=np.complex128)
+    """(count, n!) iid standard complex Gaussians, not normalized: the rows
+    of gaussian_parts as complex numbers."""
+    parts = gaussian_parts(n, count, rng)
+    z = np.empty(parts.shape[1:], dtype=np.complex128)
     z.real, z.imag = parts
     return z
 

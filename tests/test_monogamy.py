@@ -132,12 +132,12 @@ def test_region_audit_clean_and_deterministic(monkeypatch):
     assert set(payload) == {"samples", "seed", "min_margin", "violations"}
 
 
-def test_shard_v_from_the_raw_draw_matches_the_normalized_route():
-    for seed in range(5):
-        raw = mg._random_v(np.random.default_rng(seed), 4099)
-        amps = st.random_amplitudes(3, 4099, np.random.default_rng(seed))
-        # |v| <= 1, so an absolute gap of 1e-15 is relative to v's scale
-        assert np.abs(raw - ob.exchange_rows(amps, 3)).max() <= 1e-15
+def test_w_coordinates_of_a_lone_row_are_its_bits_in_a_full_shard():
+    parts = st.gaussian_parts(3, mg.AUDIT_SHARD, np.random.default_rng(5))
+    full = mg._w_coordinates(parts)
+    for row in (0, 1, mg.AUDIT_BLOCK_ROWS - 1, mg.AUDIT_BLOCK_ROWS, mg.AUDIT_SHARD - 1):
+        alone = mg._w_coordinates(parts[:, row:row + 1])
+        assert alone.tobytes() == full[:, row:row + 1].tobytes()
 
 
 def test_thread_count_is_capped_at_the_hardware_count(monkeypatch):
