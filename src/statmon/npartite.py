@@ -36,15 +36,11 @@ class ScenarioGraph:
         # the constraint rule: exactly +-1, never a float rounded to it
         fixed = tuple((c.pair, c.value) for c in (extremal.Constraint(p, v) for p, v in self.fixed))
         free = tuple(self.free)
-        for pair, _ in fixed:
+        typed = [("fixed", p) for p, _ in fixed] + [("free", p) for p in free]
+        for kind, pair in typed:
             if pair.y >= n:
-                raise ValidationError(f"fixed pair {pair} invalid for n = {n}")
-        for pair in free:
-            if pair.y >= n:
-                raise ValidationError(f"free pair {pair} invalid for n = {n}")
-        fixed_pairs = [p for p, _ in fixed]
-        everything = fixed_pairs + list(free)
-        if len(set(everything)) != len(everything):
+                raise ValidationError(f"{kind} pair {pair} invalid for n = {n}")
+        if len({p for _, p in typed}) != len(typed):
             raise ValidationError("fixed and free edge sets must be disjoint and unique")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "fixed", fixed)
@@ -117,22 +113,15 @@ class ScenarioBound:
         }
 
 
-def _triangle_pattern(graph: ScenarioGraph, boxes) -> list | None:
-    """Slot values for one triangle in tri-canonical order (pq, qr, pr);
-    None when an edge is neither fixed nor free (no clean bound)."""
-    p, q, r = sorted(boxes)
-    fixed = graph.fixed_map
-    free = set(graph.free)
-    slots = []
-    for a, b in ((p, q), (q, r), (p, r)):
-        pair = group_core.Pair(a, b)
-        if pair in fixed:
-            slots.append(float(fixed[pair]))
-        elif pair in free:
-            slots.append(None)
-        else:
-            return None
-    return slots
+def _pattern(graph: ScenarioGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's role in canonical_pairs(n) order: `signs` holds a fixed
+    edge's +-1 (0 where the edge is not fixed) and `free` marks free edges."""
+    pairs = group_core.canonical_pairs(graph.n)
+    fixed, free = graph.fixed_map, set(graph.free)
+    return (
+        np.array([fixed.get(p, 0) for p in pairs], dtype=np.float64),
+        np.array([p in free for p in pairs], dtype=bool),
+    )
 
 
 def _triangle_x_bound(slots) -> float:
@@ -163,65 +152,50 @@ def triangle_bounds(graph: ScenarioGraph) -> float:
 
     Every box triangle whose edges are all fixed-or-free contributes; fixed-
     only triangles are checked for consistency, triangles touching an
-    unconstrained edge are skipped.
+    unconstrained edge are skipped.  With no contributing triangle the bound
+    is 1, since every v lies in [-1, 1].
     """
     if not graph.free:
         raise ValidationError("scenario has no free edges; nothing to bound")
+    signs, free = _pattern(graph)
+    typed = free | (signs != 0)
+    edge = {(p.x, p.y): i for i, p in enumerate(group_core.canonical_pairs(graph.n))}
     best = 1.0
-    found = False
     for boxes in itertools.combinations(range(graph.n), 3):
-        slots = _triangle_pattern(graph, boxes)
-        if slots is None:
+        p, q, r = boxes
+        idx = [edge[p, q], edge[q, r], edge[p, r]]  # tri-canonical slots (pq, qr, pr)
+        if not typed[idx].all():
             continue
-        if all(s is not None for s in slots):
+        slots = [None if f else float(s) for s, f in zip(signs[idx], free[idx])]
+        if not free[idx].any():
             if monogamy.check_sqrt(slots) < -BOUND_PREDICATE_TOL:
                 raise InfeasibleError(f"fixed triangle {boxes} violates the region")
             continue
-        found = True
         best = min(best, _triangle_x_bound(slots))
-    if not found:
-        raise ValidationError("no triangle covers a free edge with fixed/free edges only")
     return best
-
-
-def _scenario_objective(graph: ScenarioGraph) -> extremal.Objective:
-    """Signed objective with coefficient s_e on fixed edges and -1 on free
-    edges, so <M> = (#fixed) + (#free) x under the scenario pattern."""
-    coeffs = {p: float(v) for p, v in graph.fixed}
-    coeffs.update({p: -1.0 for p in graph.free})
-    return extremal.Objective.from_pairs(graph.n, coeffs)
 
 
 def spectral_bound(graph: ScenarioGraph) -> ScenarioBound:
     """Bound on x from the largest eigenvalue of the scenario objective.
 
-    lambda >= <M> = F + k x gives x <= (lambda - F)/k; with no free edges
-    the scenario is feasible iff lambda reaches F.  The top eigenstate's
-    v-vector is checked against the scenario pattern.
+    The objective weighs each fixed edge by its sign and each free edge by
+    -1, so <M> = F + k x under the scenario pattern; lambda >= <M> gives
+    x <= (lambda - F)/k, and with no free edges the scenario is feasible iff
+    lambda reaches F.  The top eigenstate's v-vector is checked against the
+    scenario pattern.
     """
-    objective = _scenario_objective(graph)
-    top = extremal.max_expectation(objective)
-    lam = top.value
+    signs, free = _pattern(graph)
+    top = extremal.max_expectation(extremal.Objective(graph.n, np.where(free, -1.0, signs)))
+    lam, v = top.value, top.v
     n_fixed, n_free = len(graph.fixed), len(graph.free)
-    pairs = group_core.canonical_pairs(graph.n)
-    v = top.v
-
-    x_bound = None if n_free == 0 else (lam - n_fixed) / n_free
-    feasible = None
-    if n_free == 0:
-        feasible = bool(lam >= n_fixed - PATTERN_TOL)
-
-    fixed = graph.fixed_map
-    free = set(graph.free)
-    def matches(pair, value) -> bool:
-        idx = pairs.index(pair)
-        return abs(v[idx] - value) <= PATTERN_TOL
-
-    attained = all(matches(p, val) for p, val in fixed.items())
     if n_free:
-        attained = attained and all(matches(p, -x_bound) for p in free)
+        x_bound, feasible = (lam - n_fixed) / n_free, None
     else:
-        attained = attained and feasible
+        x_bound, feasible = None, bool(lam >= n_fixed - PATTERN_TOL)
+    # fixed pairs at their sign, free pairs at -x; untyped pairs are ignored
+    target = np.where(free, -x_bound if n_free else 0.0, signs)
+    typed = free | (signs != 0)
+    attained = bool(np.all(np.abs(v - target)[typed] <= PATTERN_TOL)) and feasible is not False
 
     return ScenarioBound(
         n=graph.n,
@@ -230,7 +204,7 @@ def spectral_bound(graph: ScenarioGraph) -> ScenarioBound:
         lambda_max=lam,
         improvement=None,
         feasible=feasible,
-        pattern_attained=bool(attained),
+        pattern_attained=attained,
         attaining_state=top.state if attained else None,
         attaining_v=v if attained else None,
     )

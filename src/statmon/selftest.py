@@ -10,7 +10,6 @@ import numpy as np
 from . import extremal, group_core, monogamy, npartite, observables, states
 from .eigh import symmetric_spectrum
 
-EXACT = 0.0
 ALGEBRA_TOL = 1e-12
 STATE_TOL = 1e-9
 # Sampled draws evaluated at once: few enough blocks that the per-block calls

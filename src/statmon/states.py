@@ -176,7 +176,10 @@ class MixedState:
         if eigh.hermitian_min_eigenvalue(rho) < -PSD_TOL:
             raise ValidationError("density matrix has an eigenvalue below -1e-9")
         self.n = n
-        self.matrix = rho
+        # keep the Hermitian part, so the anti-Hermitian residue the check
+        # above allows never becomes an imaginary expectation; exactly
+        # Hermitian input keeps its bits
+        self.matrix = (rho + rho.conj().T) / 2.0
         self.matrix.setflags(write=False)
 
     @classmethod

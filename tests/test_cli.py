@@ -204,6 +204,19 @@ def test_scenario_file(tmp_path, capsys):
     assert payload["improvement"] is True
 
 
+def test_scenario_with_no_typed_triangle_has_triangle_bound_one(tmp_path, capsys):
+    # no box triangle has all three edges fixed or free: every v lies in
+    # [-1, 1], so the three-box bound is x <= 1
+    scenario = tmp_path / "sparse.json"
+    scenario.write_text(json.dumps({"n": 4, "fixed": {"AB": 1}, "free": ["CD"]}))
+    code, out, _ = run(capsys, "scenario", "--file", str(scenario))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["triangle_bound"] == 1
+    assert abs(payload["spectral_bound"] - 1.0) < 1e-9
+    assert payload["improvement"] is False
+
+
 def test_scenario_missing_file(capsys):
     code, _, err = run(capsys, "scenario", "--file", "/nonexistent/x.json")
     assert code == 1

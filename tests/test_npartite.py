@@ -148,6 +148,41 @@ def test_partial_coverage_skips_untyped_triangles():
     assert abs(npx.triangle_bounds(graph) - 0.5) < 1e-9
 
 
+def _reference_attainment(n, fixed, free):
+    """Attainment by its definition, from max_expectation of the scenario
+    objective: fixed pairs at their sign, free pairs at -x_bound (with no free
+    edges, feasibility instead); pairs neither fixed nor free are ignored."""
+    pairs = gc.canonical_pairs(n)
+    weights = [fixed.get(p, -1.0 if p in free else 0.0) for p in pairs]
+    top = ex.max_expectation(ex.Objective(n, weights))
+    v = dict(zip(pairs, top.v))
+    attained = all(abs(v[p] - s) <= npx.PATTERN_TOL for p, s in fixed.items())
+    if not free:
+        return attained and top.value >= len(fixed) - npx.PATTERN_TOL
+    x_bound = (top.value - len(fixed)) / len(free)
+    return attained and all(abs(v[p] + x_bound) <= npx.PATTERN_TOL for p in free)
+
+
+def test_spectral_attainment_ignores_pairs_neither_fixed_nor_free():
+    rng = np.random.default_rng(16)
+    outcomes = set()
+    for _ in range(120):
+        n = int(rng.integers(3, 6))
+        roles = rng.integers(0, 4, size=len(gc.canonical_pairs(n)))  # neither, +1, -1, free
+        if roles.all() or not roles.any():
+            continue  # no untyped pair, or nothing typed at all
+        fixed = {p: (1 if r == 1 else -1) for p, r in zip(gc.canonical_pairs(n), roles) if r in (1, 2)}
+        free = [p for p, r in zip(gc.canonical_pairs(n), roles) if r == 3]
+        report = npx.spectral_bound(npx.ScenarioGraph(n, tuple(fixed.items()), tuple(free)))
+        assert report.pattern_attained == _reference_attainment(n, fixed, free)
+        outcomes.add(report.pattern_attained)
+    assert outcomes == {True, False}
+    # the top eigenstate keeps CD = +1 but its free edges do not share one value
+    graph = npx.ScenarioGraph.from_jsonable({"n": 5, "fixed": {"CD": 1}, "free": ["AC", "AD", "BE"]})
+    assert not npx.spectral_bound(graph).pattern_attained
+    assert not _reference_attainment(5, graph.fixed_map, list(graph.free))
+
+
 def test_spectral_capacity_error():
     graph = npx.ScenarioGraph.from_jsonable(
         {"n": 6, "fixed": {"AB": 1}, "free": ["BC"]}

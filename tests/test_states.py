@@ -142,6 +142,24 @@ def test_mixed_state_names_a_nonfinite_entry(bad):
         st.MixedState(3, rho)
 
 
+def test_mixed_state_keeps_the_hermitian_part_of_a_near_hermitian_matrix():
+    # 0.45e-9 i on each AB-swapped entry passes the 1e-9 Hermiticity check
+    # (|rho - rho^H| = 9e-10), but summed over 24 rows it would give <Pi_AB> an
+    # imaginary residue of 1.08e-8
+    ab = gc.exchange_operator(4, gc.Pair(0, 1)).mapping
+    rho = np.eye(24, dtype=np.complex128) / 24.0
+    rho[np.arange(24), ab] += 0.45e-9j
+    mixed = st.MixedState(4, rho)
+    assert np.array_equal(mixed.matrix, mixed.matrix.conj().T)
+    v = ob.v_vector(mixed)
+    by_operator = [ob.expectation(mixed, op) for op in gc.all_exchange_operators(4)]
+    assert np.isfinite(v).all()
+    assert np.array_equal(v, by_operator)
+    # exactly Hermitian input keeps its bits
+    exact = st.MixedState.from_mixture([0.3, 0.7], [st.random_pure_state(4, 1), st.random_pure_state(4, 2)])
+    assert np.array_equal(st.MixedState(4, exact.matrix).matrix, exact.matrix)
+
+
 @pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, -np.inf]])
 def test_mixture_names_a_nonfinite_weight(weights):
     components = [st.named_state("eq5"), st.named_state("eq6")]
