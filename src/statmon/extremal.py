@@ -185,9 +185,8 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     vector = basis @ dec.eigenvectors[:, 0]
     state = states.normalize(vector.astype(np.complex128), objective.n)
     v = observables.v_vector(state)
-    pairs = group_core.canonical_pairs(objective.n)
     for c in constraints:
-        got = v[pairs.index(c.pair)]
+        got = v[group_core.exchange_table(objective.n).row[c.pair]]
         if abs(got - c.value) > RESULT_TOL:
             raise ConvergenceError(f"solution violates v_{c.pair} = {c.value:+d}: got {got}")
     # <psi|M|psi> = c.v; its roundoff grows with the entries of M, which sum |c_XY| bounds

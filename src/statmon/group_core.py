@@ -295,6 +295,30 @@ def all_exchange_operators(n: int) -> tuple[ExchangeOperator, ...]:
     return tuple(exchange_operator(n, p) for p in canonical_pairs(n))
 
 
+@dataclass(frozen=True)
+class ExchangeTable:
+    """Row p, for the p-th canonical pair: the exchange's basis mapping
+    `mappings[p]`, which swaps word lo[p, j] < hi[p, j] with word hi[p, j]
+    and no other. `row` maps each pair to its row."""
+
+    mappings: np.ndarray  # (P, n!)
+    lo: np.ndarray  # (P, n!/2)
+    hi: np.ndarray  # (P, n!/2)
+    row: dict
+
+
+@lru_cache(maxsize=None)
+def exchange_table(n: int) -> ExchangeTable:
+    """The exchange table of n boxes, arrays read-only, from the validated operators."""
+    pairs = canonical_pairs(n)
+    mappings = np.array([exchange_operator(n, p).mapping for p in pairs])
+    lo = np.nonzero(mappings > np.arange(mappings.shape[1]))[1].reshape(len(pairs), -1)
+    hi = np.take_along_axis(mappings, lo, axis=1)
+    for arr in (mappings, lo, hi):
+        arr.setflags(write=False)
+    return ExchangeTable(mappings, lo, hi, {p: k for k, p in enumerate(pairs)})
+
+
 def exchange_matrix(n: int, weights) -> np.ndarray:
     """Dense matrix of sum_XY c_XY Pi_XY, one weight per canonical pair in
     canonical pair order (not checked); a stack of weight rows gives the
@@ -306,8 +330,7 @@ def exchange_matrix(n: int, weights) -> np.ndarray:
     dim = factorial_dim(n)
     weights = np.asarray(weights, dtype=np.float64)
     M = np.zeros(weights.shape[:-1] + (dim, dim))
-    mappings = np.array([op.mapping for op in all_exchange_operators(n)])
-    M[..., mappings, np.arange(dim)] = weights[..., None]
+    M[..., exchange_table(n).mappings, np.arange(dim)] = weights[..., None]
     return M
 
 

@@ -256,7 +256,7 @@ def _w_coordinates(parts: np.ndarray) -> np.ndarray:
     elementwise operations only, so a row gets the same bits alone as in
     any batch.
     """
-    lo, hi = observables.swapped_words(3, group_core.canonical_pairs(3))
+    table = group_core.exchange_table(3)
     count = parts.shape[1]
     u = np.empty((3, count))
     # one contiguous row per part and word, in one buffer for every block: a
@@ -269,7 +269,7 @@ def _w_coordinates(parts: np.ndarray) -> np.ndarray:
         # per pair and part, the sum of the swapped words' products: the two
         # parts' sums add to half of <z|Pi_XY|z>
         sums = np.empty((3, 2, rows))
-        for pair_sum, pair_lo, pair_hi in zip(sums, lo, hi):
+        for pair_sum, pair_lo, pair_hi in zip(sums, table.lo, table.hi):
             np.multiply(cols[:, pair_lo[0]], cols[:, pair_hi[0]], out=pair_sum)
             for k, m in zip(pair_lo[1:], pair_hi[1:]):
                 pair_sum += cols[:, k] * cols[:, m]
@@ -346,7 +346,7 @@ def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport
     ]
     import concurrent.futures  # here, not at the top: it imports logging, which only audits need
 
-    observables.w_frame()  # fill its cache here: pool threads that miss it together each build it
+    group_core.exchange_table(3)  # build it here: pool threads that miss its cache together each build it
     with concurrent.futures.ThreadPoolExecutor(max_workers=default_thread_count()) as pool:
         results = list(pool.map(lambda job: _shard(seed, *job), jobs))
 

@@ -159,11 +159,11 @@ def triangle_bounds(graph: ScenarioGraph) -> float:
         raise ValidationError("scenario has no free edges; nothing to bound")
     signs, free = _pattern(graph)
     typed = free | (signs != 0)
-    edge = {(p.x, p.y): i for i, p in enumerate(group_core.canonical_pairs(graph.n))}
+    row = group_core.exchange_table(graph.n).row
     best = 1.0
     for boxes in itertools.combinations(range(graph.n), 3):
         p, q, r = boxes
-        idx = [edge[p, q], edge[q, r], edge[p, r]]  # tri-canonical slots (pq, qr, pr)
+        idx = [row[group_core.Pair(*e)] for e in ((p, q), (q, r), (p, r))]  # tri-canonical slots
         if not typed[idx].all():
             continue
         slots = [None if f else float(s) for s, f in zip(signs[idx], free[idx])]

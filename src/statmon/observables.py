@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import group_core
-from .eigh import SpectralDecomposition, symmetric_spectrum
+from .eigh import symmetric_spectrum
 from .errors import ContractError, ConvergenceError, ValidationError
 from .states import MixedState, PureState, named_state
 
@@ -46,41 +46,19 @@ def expectation(state: PureState | MixedState, op) -> float:
 
     The imaginary residue is checked against 1e-9 and discarded.
     """
-    if isinstance(state, PureState):
-        mapping, M = _as_operator(op, state.dim)
-        amps = state.amplitudes
-        if mapping is not None:
-            value = complex(np.vdot(amps, amps[mapping]))
-        else:
-            value = complex(np.vdot(amps, M @ amps))
-    elif isinstance(state, MixedState):
-        mapping, M = _as_operator(op, state.dim)
-        rho = state.matrix
-        if mapping is not None:
-            value = complex(rho[np.arange(state.dim), mapping].sum())
-        else:
-            value = complex(np.trace(rho @ M))
-    else:
+    if not isinstance(state, (PureState, MixedState)):
         raise ValidationError(f"unsupported state type {type(state).__name__}")
+    mapping, M = _as_operator(op, state.dim)
+    if isinstance(state, PureState):
+        amps = state.amplitudes
+        value = complex(np.vdot(amps, amps[mapping] if M is None else M @ amps))
+    elif M is None:
+        value = complex(state.matrix[np.arange(state.dim), mapping].sum())
+    else:
+        value = complex(np.trace(state.matrix @ M))
     if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise ConvergenceError(f"expectation has imaginary residue {value.imag:.2e}")
     return float(value.real)
-
-
-def swapped_words(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Word indices (lo, hi), each of shape (len(pairs), n!/2): Pi_XY of the
-    p-th pair swaps word lo[p, j] < hi[p, j] with word hi[p, j] and no other.
-
-    So Re<psi|Pi_XY|psi> is twice the sum over j of Re a_lo Re a_hi +
-    Im a_lo Im a_hi.
-    """
-    lo, hi = [], []
-    for pair in pairs:
-        m = group_core.exchange_operator(n, pair).mapping
-        k = np.flatnonzero(m > np.arange(m.size))
-        lo.append(k)
-        hi.append(m[k])
-    return np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
 
 
 def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
@@ -96,9 +74,14 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
     amps = np.asarray(amps)
     if amps.ndim != 2 or amps.shape[1] != dim:
         raise ValidationError(f"amplitude rows for n = {n} need shape (N, {dim}), got {amps.shape}")
-    pairs = group_core.canonical_pairs(n) if pairs is None else tuple(pairs)
-    out = np.empty((len(amps), len(pairs)))
-    if not pairs:
+    table = group_core.exchange_table(n)
+    try:
+        rows = slice(None) if pairs is None else [table.row[pair] for pair in pairs]
+    except KeyError as exc:
+        raise ValidationError(f"pair {exc.args[0]} invalid for n = {n}") from None
+    lo, hi = table.lo[rows], table.hi[rows]
+    out = np.empty((len(amps), len(lo)))
+    if not len(lo):
         return out
     # one real row per state: the amplitudes, or their real and imaginary
     # parts interleaved, so part p of amplitude k sits in column parts*k + p
@@ -107,7 +90,7 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
     else:
         flat, parts = np.ascontiguousarray(amps, dtype=np.float64), 1
     # flat column indices ordered (part, k < m(k), pair)
-    lo, hi = ((parts * ix.T + np.arange(parts)[:, None, None]).ravel() for ix in swapped_words(n, pairs))
+    lo, hi = ((parts * ix.T + np.arange(parts)[:, None, None]).ravel() for ix in (lo, hi))
     step = max(2, ROW_BLOCK_BYTES // (8 * lo.size))
     for start in range(0, len(amps), step):
         block = flat[start:start + step].T
@@ -119,7 +102,7 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
         prod = np.take(cols, lo, axis=0)
         prod *= np.take(cols, hi, axis=0)
         terms = prod.reshape(parts, -1).sum(axis=0)
-        sums = terms.reshape(-1, len(pairs), cols.shape[1]).sum(axis=0)
+        sums = terms.reshape(-1, out.shape[1], cols.shape[1]).sum(axis=0)
         out[start:start + step] = sums[:, :block.shape[1]].T
     out *= 2.0
     return out
@@ -128,11 +111,13 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
 def v_vector(state: PureState | MixedState) -> np.ndarray:
     """Exchange expectations over canonical pairs; for n = 3 the order is
     (v_AB, v_BC, v_AC). A pure state is one row of exchange_rows, so it gets
-    the same bits as in any batch."""
+    the same bits as in any batch. rho is Hermitian, so a mixed state's
+    sum of rho[k, m(k)] is 2 Re rho[lo, hi] summed: one gather."""
     if isinstance(state, PureState):
         return exchange_rows(state.amplitudes[None, :], state.n)[0]
     if isinstance(state, MixedState):
-        return np.array([expectation(state, op) for op in group_core.all_exchange_operators(state.n)])
+        table = group_core.exchange_table(state.n)
+        return 2.0 * state.matrix[table.lo, table.hi].real.sum(axis=1)
     raise ValidationError(f"unsupported state type {type(state).__name__}")
 
 
@@ -248,20 +233,3 @@ def antibunching_probability(v: float) -> float:
     """Probability (1 - v)/2 of antibunching; v = -1 is a perfect fermion pair."""
     return bunching_probability(-float(v))
 
-
-__all__ = [
-    "expectation",
-    "swapped_words",
-    "exchange_rows",
-    "v_vector",
-    "WFrame",
-    "w_frame",
-    "w_theta",
-    "chi_amplitudes",
-    "chi_state",
-    "parse_sign",
-    "bunching_probability",
-    "antibunching_probability",
-    "SpectralDecomposition",
-    "symmetric_spectrum",
-]

@@ -55,16 +55,19 @@ def _dense_expectations(amps: np.ndarray, matrices) -> np.ndarray:
 
 @_check
 def exchange_involutions():
-    """n = 2..5, every pair: fixed-point-free involution, symmetric matrix."""
+    """n = 2..5, every pair: fixed-point-free involution, symmetric matrix, its exchange table row."""
     for n in range(2, 6):
         identity = np.arange(group_core.factorial_dim(n))
-        for pair in group_core.canonical_pairs(n):
+        table = group_core.exchange_table(n)
+        for pair, mapping, lo, hi in zip(group_core.canonical_pairs(n), table.mappings, table.lo, table.hi):
             op = group_core.exchange_operator(n, pair)
             assert np.array_equal(op.mapping[op.mapping], identity)
             assert not np.any(op.mapping == identity)
             assert op == op.inverse()
             M = op.matrix()
             assert np.array_equal(M, M.T)
+            assert np.array_equal(mapping, op.mapping) and np.array_equal(mapping[lo], hi)
+            assert np.all(lo < hi) and np.array_equal(np.sort(np.concatenate([lo, hi])), identity)
     return "checked n=2..5, all pairs, exact integer arithmetic"
 
 
@@ -142,7 +145,10 @@ def mixture_invariants():
     assert np.abs(observables.v_vector(rho)).max() <= ALGEBRA_TOL
     assert abs(np.trace(rho.matrix) - 1.0) <= ALGEBRA_TOL
     parts = [states.random_pure_state(3, seed) for seed in (11, 12, 13)]
-    states.MixedState.from_mixture([0.2, 0.5, 0.3], parts)
+    rho = states.MixedState.from_mixture([0.2, 0.5, 0.3], parts)
+    # v's gather against the per-operator reference route
+    by_operator = [observables.expectation(rho, op) for op in group_core.all_exchange_operators(3)]
+    assert np.abs(observables.v_vector(rho) - by_operator).max() <= 1e-15
     return "convex mixtures satisfy Hermiticity, trace and positivity"
 
 
@@ -449,7 +455,8 @@ def _sampled_minimum(n: int, constraints, pairs, count: int, seed: int) -> float
     evaluated one block of SAMPLE_BLOCK_ROWS at a time.
     """
     basis = extremal.joint_eigenspace_basis(n, constraints)
-    forms = [basis.T @ basis[group_core.exchange_operator(n, p).mapping] for p in pairs]
+    table = group_core.exchange_table(n)
+    forms = [basis.T @ basis[table.mappings[table.row[p]]] for p in pairs]
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((count, basis.shape[1]))
     lowest = np.inf

@@ -49,7 +49,7 @@ class PureState:
             raise ValidationError("amplitudes contain non-finite entries")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
+            raise ValidationError(f"state norm {float(norm)!r} differs from 1 by more than {NORM_TOL}")
         self.n = n
         self.amplitudes = amps
         self.amplitudes.setflags(write=False)
@@ -162,11 +162,13 @@ class MixedState:
         rho = np.array(matrix, dtype=np.complex128)
         if rho.shape != (dim, dim):
             raise ValidationError(f"expected a {dim}x{dim} matrix for n = {n}, got {rho.shape}")
-        finite = np.isfinite(rho)
-        if not finite.all():  # NaN compares false, so the checks below would let it through
-            i, j = np.argwhere(~finite)[0]
+        # a PSD unit-trace matrix has |rho_ij| <= 1: a larger entry could overflow
+        # the sums below, and NaN, which compares false, would pass them
+        bad = ~(np.abs(rho) <= 1.0 + TRACE_TOL)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise ValidationError(
-                f"density matrix entry ({i}, {j}) is {rho[i, j]}; {(~finite).sum()} entries are not finite"
+                f"density matrix entry ({i}, {j}) is {rho[i, j]}; {bad.sum()} entries are not finite or above 1"
             )
         if np.abs(rho - rho.conj().T).max(initial=0.0) > HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-9")

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -315,6 +316,12 @@ STATMON_ALL = [
     "triangle_bounds", "v_vector", "w_frame", "w_theta", "write_mesh_csv",
 ]
 SUBMODULES = ("eigh", "errors", "extremal", "group_core", "monogamy", "npartite", "observables", "states")
+
+
+def test_no_submodule_keeps_its_own_export_list():
+    # statmon._EXPORTS is the one list of public names
+    for info in pkgutil.iter_modules(statmon.__path__):
+        assert not hasattr(importlib.import_module(f"statmon.{info.name}"), "__all__"), info.name
 
 
 def test_package_exports_resolve_to_their_submodule_objects():

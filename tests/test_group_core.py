@@ -81,6 +81,20 @@ def test_exchange_matrix_is_the_weighted_sum_of_exchange_matrices(n):
     assert stack.tobytes() == expected.tobytes() + gc.exchange_matrix(n, weights[::-1]).tobytes()
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_exchange_table_rows_are_the_operator_mappings(n):
+    table = gc.exchange_table(n)
+    assert table is gc.exchange_table(n)
+    for p, pair in enumerate(gc.canonical_pairs(n)):
+        mapping = gc.exchange_operator(n, pair).mapping
+        assert table.row[pair] == p
+        assert np.array_equal(table.mappings[p], mapping)
+        assert np.array_equal(table.lo[p], np.flatnonzero(mapping > np.arange(mapping.size)))
+        assert np.array_equal(table.hi[p], mapping[table.lo[p]])
+    for arr in (table.mappings, table.lo, table.hi):
+        assert not arr.flags.writeable
+
+
 def test_lex_rank_counts_permutations_in_order():
     ordering = gc.BasisOrdering(5, "lex")
     assert gc.lex_rank(ordering.word_array).tolist() == list(range(120))

@@ -1,4 +1,5 @@
 import os
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_h
 from hypothesis.extra.numpy import arrays
 
+from statmon import group_core as gc
 from statmon import monogamy as mg
 from statmon import observables as ob
 from statmon import states as st
@@ -130,6 +132,23 @@ def test_region_audit_clean_and_deterministic(monkeypatch):
     assert a.samples == 22000
     payload = a.to_jsonable()
     assert set(payload) == {"samples", "seed", "min_margin", "violations"}
+
+
+def test_region_audit_builds_the_exchange_table_once(monkeypatch):
+    # the main thread builds the n = 3 table before the pool starts; slowed
+    # down, a build the pool threads start together would run once in each
+    gc.exchange_table.cache_clear()
+    operator = gc.exchange_operator
+
+    def slow_operator(n, pair):
+        time.sleep(0.01)
+        return operator(n, pair)
+
+    monkeypatch.setattr(gc, "exchange_operator", slow_operator)
+    monkeypatch.setattr(mg, "default_thread_count", lambda: 2)
+    report = mg.region_audit(3 * mg.AUDIT_SHARD, 5, mixed_samples=mg.AUDIT_SHARD)
+    assert report.violations == 0
+    assert gc.exchange_table.cache_info().misses == 1
 
 
 def test_w_coordinates_of_a_lone_row_are_its_bits_in_a_full_shard():

@@ -220,3 +220,15 @@ def test_exchange_rows_input_contract():
         ob.exchange_rows(amps[0], 3)
     assert ob.exchange_rows(amps, 3, []).shape == (2, 0)
     assert ob.exchange_rows(amps[:0], 3).shape == (0, 3)
+    for pair in (gc.Pair(0, 3), (0, 1)):
+        with pytest.raises(ValidationError, match="invalid for n = 3"):
+            ob.exchange_rows(amps, 3, [gc.Pair(0, 1), pair])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mixed_v_gather_matches_the_per_operator_route(n):
+    rng = np.random.default_rng(60 + n)
+    components = [st.PureState(n, a) for a in st.random_amplitudes(n, 3, rng)]
+    rho = st.MixedState.from_mixture(rng.dirichlet(np.ones(3)), components)
+    by_operator = [ob.expectation(rho, op) for op in gc.all_exchange_operators(n)]
+    assert np.abs(ob.v_vector(rho) - by_operator).max() <= 1e-15

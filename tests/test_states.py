@@ -142,6 +142,21 @@ def test_mixed_state_names_a_nonfinite_entry(bad):
         st.MixedState(3, rho)
 
 
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_mixed_state_refuses_an_entry_above_one_before_symmetrizing(big):
+    # Hermitian with unit trace, but (rho + rho^H)/2 would overflow; a PSD
+    # unit-trace matrix has no entry of modulus above 1
+    rho = np.eye(6, dtype=np.complex128) / 6.0
+    rho[0, 1] = rho[1, 0] = big
+    with pytest.raises(ValidationError, match=r"entry \(0, 1\) is .*1e\+308.*not finite or above 1"):
+        st.MixedState(3, rho)
+
+
+def test_pure_state_norm_error_prints_a_plain_float():
+    with pytest.raises(ValidationError, match=r"^state norm 2\.0 differs from 1 by more than 1e-09$"):
+        st.PureState(3, [2, 0, 0, 0, 0, 0])
+
+
 def test_mixed_state_keeps_the_hermitian_part_of_a_near_hermitian_matrix():
     # 0.45e-9 i on each AB-swapped entry passes the 1e-9 Hermiticity check
     # (|rho - rho^H| = 9e-10), but summed over 24 rows it would give <Pi_AB> an
