@@ -6,8 +6,10 @@ linear checks parametrized by an angle theta, and the closed sqrt form
 
     |w1.v| + sqrt((w2.v)^2 + (w3.v)^2) <= 1,
 
-which is the theta-family's supremum and the authoritative test.  Boundary
-states cos(phi)|+-> + sin(phi)|psi_theta^(+-)> realize every surface point.
+which is the theta-family's supremum and the authoritative test.  Their
+single-v forms live in `region`, without numpy, and are rebound here; the
+stacked forms below reuse region's arithmetic.  Boundary states
+cos(phi)|+-> + sin(phi)|psi_theta^(+-)> realize every surface point.
 """
 
 from __future__ import annotations
@@ -23,92 +25,26 @@ import numpy as np
 
 from . import group_core, observables, states
 from .errors import CapacityError, ConvergenceError, ValidationError, as_count, as_seed
+from .region import (
+    MEMBERSHIP_TOL,
+    THETA_GRID_DEFAULT,
+    THETA_GRID_MAX,
+    RegionCheck,
+    check_sqrt,
+    check_theta,
+    frame_of_v,
+    margin_of_w,
+    theta_family_margin,
+    theta_margin_of_v,
+)
 
-MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
-THETA_GRID_DEFAULT = 720
-THETA_GRID_MAX = 2**20  # a few float arrays of this length: tens of MB
 MESH_MAX_ROWS = 2**20  # 120 MiB of arrays at the cap (amplitudes 96, v 24); about 147 MiB peak
 CSV_BLOCK_ROWS = 2**14  # rows formatted per write: about 1.3 MB of CSV text
 AUDIT_SHARD = 16384
 AUDIT_BLOCK_ROWS = 4096  # shard rows per kernel pass: their 384 KiB planar copy stays in L2
 AUDIT_MAX_DRAWS = 2**30  # 65536 shards; at about 0.3 us per draw per core, minutes of work
 _SIGNS = (1, -1)  # s1/s2 values along the sign axes of observables.chi_amplitudes
-
-
-def _validate_v(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    if arr.shape != (3,):
-        raise ValidationError(f"expected 3 pair expectations, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.abs(arr).max() > 1.0 + MEMBERSHIP_TOL:
-        raise ValidationError(f"entries of v must lie in [-1, 1], got {arr.tolist()}")
-    return arr
-
-
-def _theta_lhs(v: np.ndarray, theta):
-    return abs(v[0] + v[1] + v[2]) + np.abs(
-        (2.0 * v[0] - v[1] - v[2]) * np.cos(theta) + np.sqrt(3.0) * (v[1] - v[2]) * np.sin(theta)
-    )
-
-
-def check_theta(v, theta: float) -> float:
-    """Left-hand side |v_AB+v_BC+v_AC| + |(2v_AB-v_BC-v_AC)cos(theta)
-    + sqrt(3)(v_BC-v_AC)sin(theta)|; membership requires <= 3."""
-    v, theta = _validate_v(v), float(theta)
-    if not math.isfinite(theta):  # the form is 2pi-periodic: any finite angle is valid
-        raise ValidationError(f"theta must be finite, got {theta}")
-    return float(_theta_lhs(v, theta))
-
-
-def theta_family_margin(v, grid: int = THETA_GRID_DEFAULT) -> float:
-    """min over a theta grid of (3 - lhs); approximate with O(dtheta^2) error."""
-    v = _validate_v(v)
-    grid = as_count(grid, "theta grid")
-    if grid < 1:
-        raise ValidationError("theta grid must have at least one point")
-    if grid > THETA_GRID_MAX:
-        raise CapacityError(f"theta grid supports at most {THETA_GRID_MAX} points, got {grid}")
-    return float(_theta_margins(v[None, :], grid)[0])
-
-
-def _theta_margins(V: np.ndarray, grid: int) -> np.ndarray:
-    """theta_family_margin of each row of an (N, 3) stack of v-vectors."""
-    thetas = np.arange(grid) * (2.0 * np.pi / grid)
-    return 3.0 - _theta_lhs(V.T[:, :, None], thetas).max(axis=1)
-
-
-def check_sqrt(v) -> float:
-    """Margin 1 - [|w1.v| + sqrt((w2.v)^2 + (w3.v)^2)]; >= 0 inside."""
-    return float(_margins_of_v(_validate_v(v)))
-
-
-@dataclass(frozen=True)
-class RegionCheck:
-    """Result of both membership forms for one v-vector."""
-
-    v: np.ndarray
-    theta_margin: float
-    sqrt_margin: float
-    inside: bool
-
-    @classmethod
-    def evaluate(cls, v, theta_grid: int = THETA_GRID_DEFAULT) -> "RegionCheck":
-        v = _validate_v(v)
-        sqrt_margin = check_sqrt(v)
-        return cls(
-            v=v,
-            theta_margin=theta_family_margin(v, theta_grid),
-            sqrt_margin=sqrt_margin,
-            inside=bool(sqrt_margin >= -MEMBERSHIP_TOL),
-        )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "v": [float(x) for x in self.v],
-            "theta_margin": float(self.theta_margin),
-            "sqrt_margin": float(self.sqrt_margin),
-            "inside": bool(self.inside),
-        }
 
 
 @dataclass(frozen=True)
@@ -235,15 +171,15 @@ class AuditReport:
         }
 
 
-def _margins_of_w(u1, u2, u3):
-    """Margin 1 - (|u1| + sqrt(u2^2 + u3^2)) of W-frame coordinates u_i = w_i.v,
-    scalars or arrays. |v| <= 1 bounds them, so the squares cannot overflow."""
-    return 1.0 - (np.abs(u1) + np.sqrt(u2 * u2 + u3 * u3))
-
-
 def _margins_of_v(V: np.ndarray) -> np.ndarray:
-    """check_sqrt's margin of one v-vector or of each row of a stack."""
-    return _margins_of_w(*(V @ w for w in observables.w_frame().vectors()))
+    """check_sqrt's margin of one v-vector or of each row of a stack, by
+    check_sqrt's arithmetic on the columns: each row gets its bits."""
+    return margin_of_w(*frame_of_v(*np.moveaxis(V, -1, 0)), np.sqrt)
+
+
+def _theta_margins(V: np.ndarray, grid: int) -> np.ndarray:
+    """theta_family_margin of each row of an (N, 3) stack of v-vectors."""
+    return np.array([theta_margin_of_v(*v, grid) for v in np.asarray(V).tolist()], dtype=np.float64)
 
 
 def _w_coordinates(parts: np.ndarray) -> np.ndarray:
@@ -310,7 +246,7 @@ def _shard_coordinates(seed: int, mixed: bool, index: int, count: int) -> np.nda
 
 def _shard(seed: int, mixed: bool, index: int, count: int) -> tuple[float, int]:
     """Minimum margin and violation count of one shard."""
-    margins = _margins_of_w(*_shard_coordinates(seed, mixed, index, count))
+    margins = margin_of_w(*_shard_coordinates(seed, mixed, index, count), np.sqrt)
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
 
@@ -346,7 +282,12 @@ def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport
     ]
     import concurrent.futures  # here, not at the top: it imports logging, which only audits need
 
-    group_core.exchange_table(3)  # build it here: pool threads that miss its cache together each build it
+    # The pool threads reach group_core and states, which the CLI binds
+    # lazily, and LazyLoader is not thread-safe before Python 3.12: load them
+    # here (an attribute access runs a lazy module), and build the table once
+    # rather than once per thread.
+    group_core.exchange_table(3)
+    states.gaussian_parts
     with concurrent.futures.ThreadPoolExecutor(max_workers=default_thread_count()) as pool:
         results = list(pool.map(lambda job: _shard(seed, *job), jobs))
 

@@ -245,9 +245,19 @@ def eigenvector_constraint_lemma():
     return f"identity residual <= {worst:.1e}; equivalence held at tol 1e-6"
 
 
+def _grid_theta_margins(V: np.ndarray, grid: int) -> np.ndarray:
+    """theta_family_margin of each row of V, by evaluating the family at
+    every grid angle: the reference for its closed form."""
+    thetas = np.arange(grid) * (2.0 * np.pi / grid)
+    ab, bc, ac = V.T[:, :, None]
+    radial = np.abs((2.0 * ab - bc - ac) * np.cos(thetas) + np.sqrt(3.0) * (bc - ac) * np.sin(thetas))
+    return 3.0 - (np.abs(ab + bc + ac)[:, 0] + radial.max(axis=1))
+
+
 @_check
 def membership_forms_agree():
-    """Grid max of the theta family matches the sqrt form within 2e-5."""
+    """Grid max of the theta family matches the sqrt form within 2e-5, and
+    its closed form matches the evaluated grid within 1e-12."""
     rng = np.random.default_rng(99)
     V = np.concatenate([
         observables.exchange_rows(_seeded_amplitudes(range(300, 400)), 3),
@@ -258,7 +268,12 @@ def membership_forms_agree():
     assert (sup_estimate <= exact + 1e-12).all()
     worst = (exact - sup_estimate).max()
     assert worst <= 2e-5
-    return f"720-point grid gap <= {worst:.2e}"
+    closed_gap = max(
+        np.abs(monogamy._theta_margins(V, grid) - _grid_theta_margins(V, grid)).max()
+        for grid in (1, 2, 3, 90, 720, 721)
+    )
+    assert closed_gap <= 1e-12
+    return f"720-point grid gap <= {worst:.2e}; closed form vs grids of 1-721 points <= {closed_gap:.1e}"
 
 
 @_check

@@ -9,22 +9,13 @@ import numpy as np
 
 from . import eigh, group_core
 from .errors import CapacityError, ValidationError, as_seed
+from .region import NAMED_STATES
 
 NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 DENSITY_MAX_BYTES = 2**24  # one n! x n! complex density matrix: n = 6 takes 8.3 MB, n = 7 0.4 GB
-
-NAMED_STATES = (
-    "sym_plus",
-    "antisym_minus",
-    "eq5",
-    "eq6",
-    "phi_eq23",
-    "nontransitive_3_5",
-    "chi",
-)
 
 
 def _boxes_from_dim(dim: int) -> int:
@@ -47,7 +38,8 @@ class PureState:
             raise ValidationError(f"expected {dim} amplitudes for n = {n}, got {amps.shape[0]}")
         if not np.isfinite(amps).all():
             raise ValidationError("amplitudes contain non-finite entries")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # entries far above 1 give norm inf, refused below
+            norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"state norm {float(norm)!r} differs from 1 by more than {NORM_TOL}")
         self.n = n
@@ -87,9 +79,17 @@ def normalize(amplitudes, n: int | None = None) -> PureState:
             n = _boxes_from_dim(amps.shape[0])
     if not np.isfinite(amps).all():
         raise ValidationError("amplitudes contain non-finite entries")
-    norm = np.linalg.norm(amps)
-    if norm <= 0.0:
-        raise ValidationError("cannot normalize the zero vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(amps)
+    if norm == 0.0 or np.isinf(norm):
+        # the squares underflowed or overflowed: divide by the largest real or
+        # imaginary part first (only here, so other input keeps its bits)
+        parts = amps.view(np.float64)  # a real divisor: complex division would take 1/largest
+        largest = np.abs(parts).max(initial=0.0)
+        if largest == 0.0:
+            raise ValidationError("cannot normalize the zero vector")
+        amps = (parts / largest).view(np.complex128)
+        norm = np.linalg.norm(amps)
     return PureState(n, amps / norm)
 
 

@@ -264,34 +264,76 @@ def _fresh_python(code: str):
 
 # Each command's layers after `import statmon.cli` and `main(argv)`: extremal,
 # npartite and selftest sit in sys.modules from the start (perfbench's tracer
-# looks them up there) but run only when a command touches them.
+# looks them up there) but run only when a command touches them; numpy is
+# imported only by a command that uses it.
 _LAYER_PROBE = """
 import contextlib, io, json, sys, types
 import statmon.cli
 
 def layers():
     names = ("statmon.extremal", "statmon.npartite", "statmon.selftest")
-    return {m.split(".")[1]: "absent" if m not in sys.modules
+    seen = {m.split(".")[1]: "absent" if m not in sys.modules
             else "run" if type(sys.modules[m]) is types.ModuleType else "lazy" for m in names}
+    return dict(seen, numpy="numpy" in sys.modules)
 
 seen = {"import": layers()}
 for argv in %s:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \\
+            contextlib.suppress(SystemExit):
         statmon.cli.main(argv)
-    seen[argv[0]] = layers()
+    seen[" ".join(argv)] = layers()
 seen["pool"] = [m for m in ("concurrent.futures", "logging") if m in sys.modules]
 print(json.dumps(seen))
 """
 
 
 def test_importing_the_cli_leaves_out_the_thread_pool():
-    # concurrent.futures pulls in logging: a few ms of import that only audit needs
-    argvs = [["check", "--v", "0.6,0.6,-0.6"], ["--help"], ["extremal", "--objective", "AB:1,BC:-1"]]
-    seen = _fresh_python(_LAYER_PROBE % argvs)
-    untouched = {"extremal": "lazy", "npartite": "lazy", "selftest": "lazy"}
-    assert seen["import"] == seen["check"] == seen["--help"] == untouched
-    assert seen["extremal"] == dict(untouched, extremal="run")
-    assert seen["pool"] == []
+    # concurrent.futures pulls in logging: a few ms of import that only audit
+    # needs; numpy is most of a `check`'s time, and the answer needs none of it
+    without_numpy = [
+        ["check", "--v", "0.6,0.6,-0.6"], ["check", "--v", "1,1,-1"], ["--help"], ["check", "--v", "2,0,0"],
+        ["check"],
+    ]
+    seen = _fresh_python(_LAYER_PROBE % (without_numpy + [["extremal", "--objective", "AB:1,BC:-1"]]))
+    untouched = {"extremal": "lazy", "npartite": "lazy", "selftest": "lazy", "numpy": False}
+    assert seen.pop("import") == untouched
+    for argv in without_numpy:
+        assert seen.pop(" ".join(argv)) == untouched, argv
+    assert seen.pop("extremal --objective AB:1,BC:-1") == dict(untouched, extremal="run", numpy=True)
+    assert seen == {"pool": []}
+
+
+# The statmon modules that are still LazyLoader modules when the audit's pool
+# starts, and after the audit.
+_POOL_PROBE = """
+import concurrent.futures, contextlib, io, json, sys, types
+import statmon.cli
+
+def lazy():
+    return sorted(m for m, module in list(sys.modules.items())
+                  if m.startswith("statmon.") and type(module) is not types.ModuleType)
+
+at_start = []
+start = concurrent.futures.ThreadPoolExecutor.__init__
+def probe(self, *args, **kwargs):
+    at_start.append(lazy())
+    start(self, *args, **kwargs)
+
+concurrent.futures.ThreadPoolExecutor.__init__ = probe
+with contextlib.redirect_stdout(io.StringIO()):
+    code = statmon.cli.main(["audit", "--samples", "40000", "--seed", "3", "--mixed"])
+print(json.dumps({"code": code, "at_start": at_start, "after": lazy()}))
+"""
+
+
+def test_the_audit_pool_threads_load_no_layer():
+    # LazyLoader is not thread-safe before Python 3.12: every layer the shards
+    # reach is loaded on the main thread before the pool starts
+    seen = _fresh_python(_POOL_PROBE)
+    assert seen["code"] == 0
+    [at_start] = seen["at_start"]
+    assert not {"statmon.group_core", "statmon.monogamy", "statmon.states"} & set(at_start)
+    assert seen["after"] == at_start
 
 
 def test_importing_the_package_runs_no_layer():
@@ -367,6 +409,10 @@ MALFORMED = {
         "scenario", "--file", '{"n": 4, "fixed": {"AB": 1, "AB": -1, "AC": 1}, "free": ["BC"]}',
     ],
     "state-repeated-key": ["v", "--state", '{"n": 4, ' + json.dumps(STATE3)[1:]],
+    # the norm's squares overflowed with numpy's RuntimeWarning before the refusal
+    "state-amplitude-overflows-the-norm": [
+        "v", "--state", {"n": 3, "ordering": "paper3", "amplitudes": [[1e200, 0]] + [[0, 0]] * 5},
+    ],
 }
 
 

@@ -50,6 +50,18 @@ def test_check_validates_range():
         mg.check_theta([0.0, np.nan, 0.0], 1.0)
 
 
+@pytest.mark.parametrize(
+    "v",
+    [np.zeros((1, 3)), np.zeros((3, 1)), np.float64(0.5), [0.0, 0.0], [0.0] * 4, ["a", 0, 0], [1j, 0, 0]],
+    ids=["row", "column", "scalar", "two", "four", "text", "complex"],
+)
+def test_check_refuses_a_v_that_is_not_three_numbers(v):
+    checks = (mg.check_sqrt, lambda v: mg.check_theta(v, 1.0), mg.theta_family_margin, mg.RegionCheck.evaluate)
+    for check in checks:
+        with pytest.raises(ValidationError, match="expected 3 pair expectations"):
+            check(v)
+
+
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_check_theta_refuses_a_nonfinite_angle(theta):
     # cos/sin of NaN or inf gave nan and a RuntimeWarning, not a refusal
@@ -83,6 +95,7 @@ def test_theta_family_never_beats_sqrt_form(v):
 def test_region_check_relation_between_margins():
     for v in ([0.3, -0.2, 0.1], [1.0, -0.5, -0.5], [0.9, 0.9, -0.9]):
         rc = mg.RegionCheck.evaluate(v)
+        assert type(rc.v) is tuple and rc.v == tuple(v)
         assert rc.theta_margin >= 3.0 * rc.sqrt_margin - 1e-12
         assert rc.inside == (rc.sqrt_margin >= -1e-9)
 

@@ -26,6 +26,26 @@ def test_normalize_zero_vector_rejected():
         st.normalize(np.zeros(6))
 
 
+@pytest.mark.parametrize(
+    "amplitudes, expected",
+    [
+        # the squared norm underflows to 0 or overflows to inf
+        ([1e-200, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]),
+        ([1e-320, 0, 0, -1e-320j, 0, 0], [2**-0.5, 0, 0, -(2**-0.5) * 1j, 0, 0]),
+        ([1e200, 1e200, 0, 0, 0, 0], [2**-0.5, 2**-0.5, 0, 0, 0, 0]),
+        ([1.5e308 + 1.5e308j, 0, 0, 0, 0, 0], [(1 + 1j) * 2**-0.5, 0, 0, 0, 0, 0]),
+    ],
+)
+def test_normalize_takes_any_finite_nonzero_vector(amplitudes, expected):
+    state = st.normalize(amplitudes)
+    assert np.abs(state.amplitudes - expected).max() <= 1e-15
+
+
+def test_normalize_keeps_the_bits_of_a_vector_whose_norm_is_finite():
+    z = np.random.default_rng(3).standard_normal((6, 2)) @ [1, 1j]
+    assert st.normalize(z).amplitudes.tobytes() == (z / np.linalg.norm(z)).tobytes()
+
+
 def test_pure_state_validates_norm_and_length():
     with pytest.raises(ValidationError):
         st.PureState(3, np.ones(6))  # norm sqrt(6)
@@ -155,6 +175,13 @@ def test_mixed_state_refuses_an_entry_above_one_before_symmetrizing(big):
 def test_pure_state_norm_error_prints_a_plain_float():
     with pytest.raises(ValidationError, match=r"^state norm 2\.0 differs from 1 by more than 1e-09$"):
         st.PureState(3, [2, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("big", [1e200, -1e200j, 1e308])
+def test_pure_state_refuses_an_amplitude_whose_square_overflows(big):
+    # the norm overflowed with numpy's RuntimeWarning before the refusal
+    with pytest.raises(ValidationError, match=r"^state norm inf differs from 1"):
+        st.PureState(3, [big, 0, 0, 0, 0, 0])
 
 
 def test_mixed_state_keeps_the_hermitian_part_of_a_near_hermitian_matrix():
