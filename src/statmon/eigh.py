@@ -116,7 +116,10 @@ def symmetric_spectrum(matrix) -> SpectralDecomposition:
     sort, each degenerate eigenspace given a canonical basis that does not
     depend on the one LAPACK returned, and each eigenvector's
     largest-magnitude component made positive.  The result is checked for
-    orthonormality and reconstruction to 1e-9 (relative to the largest entry).
+    orthonormality to 1e-9 and reconstruction to 1e-9 * max(1, max|A|): the
+    tolerance is relative above unit scale but absolute below it, where it
+    also merges eigenvalues into clusters, so a caller with small entries
+    rescales A to unit scale first.
     """
     A = np.array(matrix, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

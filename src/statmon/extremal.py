@@ -8,18 +8,18 @@ problem restricted to the joint constraint eigenspace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import group_core, observables, states
+from . import group_core, observables, region, states
 from .eigh import symmetric_spectrum
 from .errors import CapacityError, ConvergenceError, InfeasibleError, ValidationError, as_count, as_seed
 
 KERNEL_TOL = 1e-10
 RESULT_TOL = 1e-9
-# Bounds every entry of the objective matrix; sums over a row of up to 5! = 120
-# entries and the symmetrization's doubling then stay far from overflow.
+# Bounds every eigenvalue and every c.v of an objective, so each stays finite.
 WEIGHT_SUM_MAX = 1e300
 DENSE_EIG_MAX_BOXES = 5  # dense n! x n! eigensolves stop being desk scale at 6! = 720
 SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; the draw and its normalization peak at 2x
@@ -174,14 +174,14 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     """
     constraints = list(constraints)
     basis = joint_eigenspace_basis(objective.n, constraints)
-    restricted = basis.T @ objective.matrix() @ basis
-    # symmetric only to roundoff, which grows with the weights; symmetric_spectrum
-    # takes this same average after its absolute 1e-12 symmetry check
-    restricted = (restricted + restricted.T) / 2.0
-    # cluster at the full objective's scale, max |c_XY|: the restriction can be
-    # pure roundoff, as for AB - CD on the v_AB = v_CD = +1 eigenspace
-    dec = replace(symmetric_spectrum(restricted), scale=float(np.abs(objective.weights).max()))
-    value = float(dec.eigenvalues[0])
+    # solved in units of max |c_XY|, so that symmetric_spectrum's tolerances,
+    # absolute below unit scale, stay relative to the weights
+    unit = float(np.abs(objective.weights).max())
+    restricted = basis.T @ (objective.matrix() / unit) @ basis
+    # cluster at the full objective's scale, 1 in these units: the restriction
+    # can be pure roundoff, as for AB - CD on the v_AB = v_CD = +1 eigenspace
+    dec = replace(symmetric_spectrum(restricted), scale=1.0)
+    top = float(dec.eigenvalues[0])
     vector = basis @ dec.eigenvectors[:, 0]
     state = states.normalize(vector.astype(np.complex128), objective.n)
     v = observables.v_vector(state)
@@ -190,19 +190,20 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
         if abs(got - c.value) > RESULT_TOL:
             raise ConvergenceError(f"solution violates v_{c.pair} = {c.value:+d}: got {got}")
     # <psi|M|psi> = c.v; its roundoff grows with the entries of M, which sum |c_XY| bounds
-    achieved = v @ objective.weights
-    if abs(achieved - value) > RESULT_TOL * max(1.0, objective.weight_sum):
-        raise ConvergenceError(f"eigenstate misses its eigenvalue by {achieved - value:.2e}")
-    return ExtremalResult(value=value, state=state, degeneracy=dec.degeneracy(value), v=v)
+    weights = objective.weights / unit
+    achieved = v @ weights
+    if abs(achieved - top) > RESULT_TOL * np.abs(weights).sum():
+        raise ConvergenceError(f"eigenstate misses its eigenvalue by {(achieved - top) * unit:.2e}")
+    return ExtremalResult(value=top * unit, state=state, degeneracy=dec.degeneracy(top), v=v)
 
 
 def symmetric_ray_extreme(direction) -> float:
     """Largest t such that t * direction still satisfies the membership test.
 
-    Closed form from the sqrt relation: t = 1 / (|w1.d| + hypot(w2.d, w3.d)),
-    taken on d / max|d| so that tiny or huge d neither underflow nor overflow.
-    Cross-validated by building the boundary state at that point and
-    comparing its measured v-vector.
+    Closed form from the sqrt relation: t = 1 / region.cone_norm of d's
+    W-frame coordinates, taken on d / max|d| so that tiny or huge d neither
+    underflow nor overflow.  Cross-validated by building the boundary state
+    at that point and comparing its measured v-vector.
     """
     d = np.asarray(direction, dtype=np.float64).reshape(-1)
     if d.shape != (3,):
@@ -211,20 +212,18 @@ def symmetric_ray_extreme(direction) -> float:
     if not np.isfinite(scale) or scale == 0.0:
         raise ValidationError("direction must be a finite nonzero vector")
     unit = d / scale
-    w1, w2, w3 = observables.w_frame().vectors()
-    unit_t = 1.0 / (abs(w1 @ unit) + np.hypot(w2 @ unit, w3 @ unit))
-    t = float(unit_t) / float(scale)  # Python floats: an overflow gives inf, not a warning
-    if not np.isfinite(t):
+    unit_t = 1.0 / region.cone_norm(*region.frame_of_v(*unit.tolist()))
+    t = unit_t / float(scale)  # Python floats: an overflow gives inf, not a warning
+    if not math.isfinite(t):
         raise ValidationError(f"the boundary lies beyond float range along {d.tolist()}")
     boundary_v = unit_t * unit
 
-    axial = float(w1 @ boundary_v)
-    cos2 = min(1.0, abs(axial))
-    phi = float(np.arccos(np.sqrt(cos2)))
+    axial, u2, u3 = region.frame_of_v(*boundary_v.tolist())
+    phi = math.acos(math.sqrt(min(1.0, abs(axial))))
     s1 = +1 if axial >= 0.0 else -1
-    radial = np.hypot(w2 @ boundary_v, w3 @ boundary_v)
-    theta = float(np.arctan2(w3 @ boundary_v, w2 @ boundary_v)) % (2.0 * np.pi) if radial > 1e-12 else 0.0
-    chi = observables.chi_state(theta, phi, s1, +1)
+    theta = math.atan2(u3, u2) % (2.0 * math.pi) if math.hypot(u2, u3) > 1e-12 else 0.0
+    # a tiny negative angle rounds up to 2 pi, which chi_state refuses: it is angle 0
+    chi = observables.chi_state(theta if theta < 2.0 * math.pi else 0.0, phi, s1, +1)
     achieved = observables.v_vector(chi)
     if np.abs(achieved - boundary_v).max() > RESULT_TOL:
         raise ConvergenceError(

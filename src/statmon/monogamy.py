@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -182,10 +181,10 @@ def _theta_margins(V: np.ndarray, grid: int) -> np.ndarray:
     return np.array([theta_margin_of_v(*v, grid) for v in np.asarray(V).tolist()], dtype=np.float64)
 
 
-def _w_coordinates(parts: np.ndarray) -> np.ndarray:
-    """W-frame coordinates (w1.v, w2.v, w3.v), shape (3, count), of the
-    three-box draws whose real and imaginary parts are `parts`, shape
-    (2, count, 6), as states.gaussian_parts gives them.
+def _v_of_parts(parts: np.ndarray) -> np.ndarray:
+    """v-vectors, shape (3, count), of the three-box draws whose real and
+    imaginary parts are `parts`, shape (2, count, 6), as
+    states.gaussian_parts gives them.
 
     v is taken on the raw draw z as <z|Pi_XY|z> / <z|z>, so no normalized
     copy is made. Rows are worked through in blocks of AUDIT_BLOCK_ROWS by
@@ -194,7 +193,7 @@ def _w_coordinates(parts: np.ndarray) -> np.ndarray:
     """
     table = group_core.exchange_table(3)
     count = parts.shape[1]
-    u = np.empty((3, count))
+    v = np.empty((3, count))
     # one contiguous row per part and word, in one buffer for every block: a
     # fresh copy per block cost the pool threads about 15x the page faults
     block = np.empty((2, 6, min(count, AUDIT_BLOCK_ROWS)))
@@ -209,44 +208,34 @@ def _w_coordinates(parts: np.ndarray) -> np.ndarray:
             np.multiply(cols[:, pair_lo[0]], cols[:, pair_hi[0]], out=pair_sum)
             for k, m in zip(pair_lo[1:], pair_hi[1:]):
                 pair_sum += cols[:, k] * cols[:, m]
-        ab, bc, ac = sums[:, 0] + sums[:, 1]
         np.square(cols, out=cols)
         cols[0] += cols[1]
         norm = cols[0, 0] + cols[0, 1]
         for word in range(2, 6):
             norm += cols[0, word]
-        # w1 = (1, 1, 1)/3, w2 = (2, -1, -1)/3, w3 = (0, 1, -1)/sqrt(3), and
-        # v = 2 (ab, bc, ac) / <z|z>
-        u1, u2, u3 = u[:, start:start + rows]
-        bc_ac = bc + ac
-        scale = np.divide(2.0 / 3.0, norm)
-        np.add(ab, bc_ac, out=u1)
-        u1 *= scale
-        np.add(ab, ab, out=u2)
-        u2 -= bc_ac
-        u2 *= scale
-        np.subtract(bc, ac, out=u3)
-        u3 *= np.divide(2.0 / math.sqrt(3.0), norm, out=scale)
-    return u
+        out = v[:, start:start + rows]
+        np.add(sums[:, 0], sums[:, 1], out=out)
+        out *= np.divide(2.0, norm, out=norm)
+    return v
 
 
-def _shard_coordinates(seed: int, mixed: bool, index: int, count: int) -> np.ndarray:
-    """W-frame coordinates, shape (3, count), of one shard's random pure
-    states or, when `mixed`, of its two-component mixtures."""
+def _shard_v(seed: int, mixed: bool, index: int, count: int) -> np.ndarray:
+    """v-vectors, shape (3, count), of one shard's random pure states or,
+    when `mixed`, of its two-component mixtures."""
     rng = np.random.default_rng([seed, int(mixed), index])
-    u = _w_coordinates(states.gaussian_parts(3, count, rng))
+    v = _v_of_parts(states.gaussian_parts(3, count, rng))
     if mixed:
-        b = _w_coordinates(states.gaussian_parts(3, count, rng))
+        b = _v_of_parts(states.gaussian_parts(3, count, rng))
         weight = rng.uniform(0.0, 1.0, size=count)
-        # v, and so each coordinate, is linear in the density matrix: a
-        # two-component mixture's is the weighted average of the components'
-        u = weight * u + (1.0 - weight) * b
-    return u
+        # v is linear in the density matrix: a two-component mixture's is
+        # the weighted average of the components'
+        v = weight * v + (1.0 - weight) * b
+    return v
 
 
 def _shard(seed: int, mixed: bool, index: int, count: int) -> tuple[float, int]:
     """Minimum margin and violation count of one shard."""
-    margins = margin_of_w(*_shard_coordinates(seed, mixed, index, count), np.sqrt)
+    margins = _margins_of_v(_shard_v(seed, mixed, index, count).T)
     return float(margins.min()), int((margins < -MEMBERSHIP_TOL).sum())
 
 

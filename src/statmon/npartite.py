@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import extremal, group_core, monogamy, states
+from . import extremal, group_core, region, states
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 
 PATTERN_TOL = 1e-9
@@ -40,6 +40,8 @@ class ScenarioGraph:
         for kind, pair in typed:
             if pair.y >= n:
                 raise ValidationError(f"{kind} pair {pair} invalid for n = {n}")
+        if not typed:
+            raise ValidationError("scenario needs at least one fixed or free edge")
         if len({p for _, p in typed}) != len(typed):
             raise ValidationError("fixed and free edge sets must be disjoint and unique")
         object.__setattr__(self, "n", n)
@@ -137,7 +139,7 @@ def _triangle_x_bound(slots) -> float:
 
     def margin(x: float) -> float:
         v = [(-x if s is None else s) for s in slots]
-        return monogamy.check_sqrt(v)
+        return region.check_sqrt(v)
 
     if margin(0.0) < -BOUND_PREDICATE_TOL:
         raise InfeasibleError(f"fixed edges alone violate the region: pattern {slots}")
@@ -168,7 +170,7 @@ def triangle_bounds(graph: ScenarioGraph) -> float:
             continue
         slots = [None if f else float(s) for s, f in zip(signs[idx], free[idx])]
         if not free[idx].any():
-            if monogamy.check_sqrt(slots) < -BOUND_PREDICATE_TOL:
+            if region.check_sqrt(slots) < -BOUND_PREDICATE_TOL:
                 raise InfeasibleError(f"fixed triangle {boxes} violates the region")
             continue
         best = min(best, _triangle_x_bound(slots))

@@ -1,9 +1,9 @@
 """Exchange expectations, the v-vector, and the W-operator family.
 
-The three n = 3 exchange operators are repackaged as a frame
-W1 = (pi_AB + pi_BC + pi_AC)/3, W2 = (2 pi_AB - pi_BC - pi_AC)/3,
-W3 = (pi_BC - pi_AC)/sqrt(3); W1 commutes with and annihilates W2, W3,
-while W2 and W3 anticommute with equal squares, so the rotated operator
+The three n = 3 exchange operators are repackaged by the W-frame w1, w2,
+w3 that `region` writes down, as W_i = sum_XY (w_i)_XY pi_XY, so that
+<W_i> = w_i.v.  W1 commutes with and annihilates W2, W3, while W2 and W3
+anticommute with equal squares, so the rotated operator
 W_theta = W2 cos(theta) + W3 sin(theta) has theta-independent square.
 These identities are what make the double-cone membership test exact.
 """
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import group_core
+from . import group_core, region
 from .eigh import symmetric_spectrum
 from .errors import ContractError, ConvergenceError, ValidationError
 from .states import MixedState, PureState, named_state
@@ -141,9 +141,8 @@ class WFrame:
 
 @lru_cache(maxsize=1)
 def w_frame() -> WFrame:
-    w1 = np.array([1.0, 1.0, 1.0]) / 3.0
-    w2 = np.array([2.0, -1.0, -1.0]) / 3.0
-    w3 = np.array([0.0, 1.0, -1.0]) / np.sqrt(3.0)
+    # region's frame of the unit v-vectors e_j: entry j of coordinate i is w_i.e_j
+    w1, w2, w3 = region.frame_of_v(*np.eye(3))
     W1, W2, W3 = group_core.exchange_matrix(3, [w1, w2, w3])
     for arr in (w1, w2, w3, W1, W2, W3):
         arr.setflags(write=False)

@@ -4,8 +4,10 @@ v = (v_AB, v_BC, v_AC) is achievable iff
 
     |w1.v| + sqrt((w2.v)^2 + (w3.v)^2) <= 1,
 
-with w1 = (1, 1, 1)/3, w2 = (2, -1, -1)/3 and w3 = (0, 1, -1)/sqrt(3), the
-W-frame of observables.w_frame.  The linear family
+with w1 = (1, 1, 1)/3, w2 = (2, -1, -1)/3 and w3 = (0, 1, -1)/sqrt(3).  This
+module is the one place that writes down that W-frame (`frame_of_v`) and
+the cone's gauge (`cone_norm`): the audit's margins, the ray extreme and
+observables.w_frame all take them from here.  The linear family
 
     |v_AB+v_BC+v_AC| + |(2v_AB-v_BC-v_AC) cos(theta) + sqrt(3)(v_BC-v_AC) sin(theta)| <= 3
 
@@ -63,11 +65,17 @@ def frame_of_v(ab, bc, ac):
     return (ab + bc + ac) / 3.0, (2.0 * ab - bc - ac) / 3.0, (bc - ac) / _SQRT3
 
 
+def cone_norm(u1, u2, u3, sqrt=math.sqrt):
+    """The double cone's gauge |u1| + sqrt(u2^2 + u3^2) of W-frame coordinates
+    u_i = w_i.v: v is achievable iff it is at most 1.  Arrays take
+    sqrt=np.sqrt, which rounds as math.sqrt does.  Coordinates of a v with
+    |v| <= 1 are bounded, so the squares cannot overflow."""
+    return abs(u1) + sqrt(u2 * u2 + u3 * u3)
+
+
 def margin_of_w(u1, u2, u3, sqrt=math.sqrt):
-    """Margin 1 - (|u1| + sqrt(u2^2 + u3^2)) of W-frame coordinates u_i = w_i.v;
-    arrays take sqrt=np.sqrt, which rounds as math.sqrt does.  |v| <= 1
-    bounds the coordinates, so the squares cannot overflow."""
-    return 1.0 - (abs(u1) + sqrt(u2 * u2 + u3 * u3))
+    """Margin 1 - cone_norm(u1, u2, u3) of W-frame coordinates."""
+    return 1.0 - cone_norm(u1, u2, u3, sqrt)
 
 
 def check_sqrt(v) -> float:

@@ -324,10 +324,9 @@ def region_audit_sample():
 
 @_check
 def audit_kernel_cross_check():
-    """Audit shards read W-frame coordinates straight off the planar draw;
-    the same streams, normalized and run through exchange_rows, give the same
-    coordinates for a partial pure shard and for mixtures."""
-    frame = np.array(observables.w_frame().vectors()).T
+    """Audit shards read v straight off the planar draw; the same streams,
+    normalized and run through exchange_rows, give the same v for a partial
+    pure shard and for mixtures."""
     worst = 0.0
     for mixed, count in ((False, 4099), (True, 64)):
         rng = np.random.default_rng([41, int(mixed), 2])
@@ -336,9 +335,9 @@ def audit_kernel_cross_check():
             b = observables.exchange_rows(states.random_amplitudes(3, count, rng), 3)
             weight = rng.uniform(0.0, 1.0, size=count)[:, None]
             V = weight * V + (1.0 - weight) * b
-        shard = monogamy._shard_coordinates(41, mixed, 2, count)
-        worst = max(worst, np.abs(shard.T - V @ frame).max())
-    # |v| <= 1, so an absolute gap of 1e-15 is relative to the coordinates' scale
+        shard = monogamy._shard_v(41, mixed, 2, count)
+        worst = max(worst, np.abs(shard.T - V).max())
+    # |v| <= 1, so an absolute gap of 1e-15 is relative to v's scale
     assert worst <= 1e-15
     return f"4099 pure and 64 mixed draws: shard vs exchange_rows residual <= {worst:.1e}"
 

@@ -386,6 +386,7 @@ STATE3 = {"n": 3, "ordering": "paper3", "amplitudes": [[1, 0]] + [[0, 0]] * 5}
 MALFORMED = {
     "scenario-fixed-is-a-list": ["scenario", "--file", {"n": 4, "fixed": [1, 2], "free": []}],
     "scenario-n-not-a-number": ["scenario", "--file", {"n": "x", "fixed": {}, "free": []}],
+    "scenario-has-no-edges": ["scenario", "--file", {"n": 4, "fixed": {}, "free": []}],
     "scenario-n-not-an-integer": ["scenario", "--file", {"n": 4.5, "fixed": {"AB": 1}, "free": ["AC"]}],
     "scenario-fixed-rounds-to-one": [
         "scenario", "--file", {"n": 4, "fixed": {"AB": 1.9, "AC": 1, "BC": 1}, "free": ["AD", "BD", "CD"]},

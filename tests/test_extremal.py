@@ -153,6 +153,64 @@ def test_symmetric_ray_extreme_refuses_a_multiplier_beyond_float_range():
         ex.symmetric_ray_extreme([1e-310, 0.0, 0.0])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    raw=hst.lists(hst.floats(-1.0, 1.0), min_size=3, max_size=3),
+    exponent=hst.floats(-200.0, 200.0),
+)
+def test_symmetric_ray_extreme_lands_on_the_boundary(raw, exponent):
+    d = np.array(raw)
+    assume(np.abs(d).max() > 0.0)
+    d /= np.abs(d).max()
+    d *= 10.0**exponent
+    assert abs(mg.check_sqrt(ex.symmetric_ray_extreme(d) * d)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ex.Objective.from_pairs(3, {"AB": 1, "BA": 2}), "duplicate objective pair AB"),
+        (
+            lambda: ex.constrained_extremal([ex.Constraint(P("AD"), +1)], ex.Objective.from_pairs(3, {"AB": 1})),
+            "constraint pair AD invalid for n = 3",
+        ),
+        (lambda: ex.symmetric_ray_extreme([1.0, 2.0]), r"direction must have 3 components, got \(2,\)"),
+        (
+            lambda: ex.random_search_max(
+                ex.Objective.from_pairs(3, {"AB": 1}), samples=ex.SEARCH_RESTARTS * ex.SEARCH_ROUNDS - 1
+            ),
+            "sample budget too small for the restart schedule",
+        ),
+    ],
+    ids=["duplicate-pair-under-two-names", "constraint-beyond-n", "two-vector-ray", "too-few-samples"],
+)
+def test_extremal_refusals(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-100, 1e-320])
+@pytest.mark.parametrize(
+    "n, fixed, coefficients",
+    [
+        (3, {"AB": +1}, {"BC": -1.0}),
+        (3, {}, {"AB": 1.0, "BC": -1.0}),
+        (4, {"AB": +1, "CD": +1}, {"AC": -1.0, "BD": 1.0}),
+    ],
+    ids=["AB=+1 max -BC", "max AB-BC", "AB=CD=+1 max BD-AC"],
+)
+def test_small_weights_attain_the_unit_extremum_scaled(n, fixed, coefficients, scale):
+    constraints = [ex.Constraint(P(p), s) for p, s in fixed.items()]
+    unit = ex.constrained_extremal(constraints, ex.Objective.from_pairs(n, coefficients))
+    small = ex.constrained_extremal(
+        constraints, ex.Objective.from_pairs(n, {p: c * scale for p, c in coefficients.items()})
+    )
+    # the state attains the value: the same v as at unit weights, not a basis word
+    assert np.abs(small.v - unit.v).max() <= 1e-9
+    assert small.degeneracy == unit.degeneracy
+    assert abs(small.value - unit.value * scale) <= 1e-9 * abs(unit.value) * scale
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

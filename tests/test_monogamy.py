@@ -164,11 +164,11 @@ def test_region_audit_builds_the_exchange_table_once(monkeypatch):
     assert gc.exchange_table.cache_info().misses == 1
 
 
-def test_w_coordinates_of_a_lone_row_are_its_bits_in_a_full_shard():
+def test_v_of_a_lone_row_is_its_bits_in_a_full_shard():
     parts = st.gaussian_parts(3, mg.AUDIT_SHARD, np.random.default_rng(5))
-    full = mg._w_coordinates(parts)
+    full = mg._v_of_parts(parts)
     for row in (0, 1, mg.AUDIT_BLOCK_ROWS - 1, mg.AUDIT_BLOCK_ROWS, mg.AUDIT_SHARD - 1):
-        alone = mg._w_coordinates(parts[:, row:row + 1])
+        alone = mg._v_of_parts(parts[:, row:row + 1])
         assert alone.tobytes() == full[:, row:row + 1].tobytes()
 
 

@@ -20,8 +20,24 @@ def test_scenario_graph_validation():
         npx.ScenarioGraph.from_jsonable({"n": 4, "fixed": {"AB": 1}, "free": ["AB"]})
     with pytest.raises(ValidationError):
         npx.ScenarioGraph.from_jsonable({"n": 3, "fixed": {"AD": 1}, "free": []})
+    # refused by the graph itself, not later by the objective it would build
+    with pytest.raises(ValidationError, match="scenario needs at least one fixed or free edge"):
+        npx.ScenarioGraph.from_jsonable({"n": 4, "fixed": {}, "free": []})
     graph = npx.ScenarioGraph.from_jsonable(FIG2A)
     assert graph.n == 4 and len(graph.fixed) == 2 and len(graph.free) == 4
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1, 2], "malformed scenario JSON: list indices must be integers"),
+        ({"fixed": {"AB": 1}, "free": []}, "malformed scenario JSON: 'n'"),
+    ],
+    ids=["a-list", "no-n"],
+)
+def test_scenario_json_refusals(obj, message):
+    with pytest.raises(ValidationError, match=message):
+        npx.ScenarioGraph.from_jsonable(obj)
 
 
 def test_scenario_json_round_trip():

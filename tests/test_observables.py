@@ -38,6 +38,32 @@ def test_expectation_rejects_non_hermitian():
         ob.expectation(psi, np.eye(4))
 
 
+@pytest.mark.parametrize(
+    "state, op, message",
+    [
+        (
+            st.named_state("eq5"),
+            gc.exchange_operator(4, gc.Pair(0, 1)),
+            "operator dimension 24 does not match state 6",
+        ),
+        (
+            st.MixedState.from_mixture([1.0], [st.named_state("eq5")]),
+            gc.exchange_operator(4, gc.Pair(0, 1)),
+            "operator dimension 24 does not match state 6",
+        ),
+        (
+            st.MixedState.from_mixture([1.0], [st.named_state("eq5")]),
+            np.eye(24),
+            r"operator shape \(24, 24\) does not match state dimension 6",
+        ),
+    ],
+    ids=["pure-permutation", "mixed-permutation", "mixed-matrix"],
+)
+def test_expectation_refuses_an_operator_of_the_wrong_dimension(state, op, message):
+    with pytest.raises(ValidationError, match=message):
+        ob.expectation(state, op)
+
+
 def test_v_vector_examples():
     assert np.abs(ob.v_vector(st.named_state("antisym_minus")) + 1.0).max() < 1e-12
     v = ob.v_vector(st.named_state("eq6"))

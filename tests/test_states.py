@@ -250,6 +250,35 @@ def test_state_json_lex_reorders_to_paper3():
     assert np.abs(back.amplitudes - amps).max() < 1e-15
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: st.MixedState.from_mixture([0.5, 0.5], [st.named_state("eq5")]),
+            "weights and states must be equally many and nonempty",
+        ),
+        (
+            lambda: st.MixedState.from_mixture([1.5, -0.5], [st.named_state("eq5"), st.named_state("eq6")]),
+            "mixture weights must be nonnegative and sum to 1",
+        ),
+        (
+            lambda: st.MixedState.from_mixture([0.5, 0.5], [st.named_state("eq5"), st.random_pure_state(4, 1)]),
+            "all mixture components must share the same n",
+        ),
+        (
+            lambda: st.state_from_jsonable(
+                {"n": 3, "ordering": "paper3", "amplitudes": [[1, 0, 0]] + [[0, 0]] * 5}
+            ),
+            "malformed amplitude list",
+        ),
+    ],
+    ids=["mixture-lengths-differ", "mixture-negative-weight", "mixture-mixed-n", "amplitude-of-3-entries"],
+)
+def test_states_refusals(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_state_json_rejects_malformed():
     with pytest.raises(ValidationError):
         st.state_from_jsonable({"n": 3, "ordering": "weird", "amplitudes": []})
