@@ -17,7 +17,6 @@ from . import group_core, observables, region, states
 from .eigh import symmetric_spectrum
 from .errors import CapacityError, ConvergenceError, InfeasibleError, ValidationError, as_count, as_seed
 
-KERNEL_TOL = 1e-10
 RESULT_TOL = 1e-9
 # Bounds every eigenvalue and every c.v of an objective, so each stays finite.
 WEIGHT_SUM_MAX = 1e300
@@ -125,11 +124,10 @@ def max_expectation(objective: Objective) -> ExtremalResult:
 
 def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
     """Orthonormal basis (columns) of the intersection of the constraints'
-    eigenspaces.
-
-    The intersection is the kernel of sum_i (I - s_i Pi_i)/2, a positive
-    semidefinite matrix, so one symmetric eigensolve finds it; eigenvalues
-    below 1e-10 count as kernel.  Raises InfeasibleError when empty, and
+    eigenspaces: psi[m(i)] = s psi[i] for each constrained exchange mapping m
+    and sign s, so each orbit of words under the constrained swaps gives one
+    column, sign/sqrt(orbit size) with +1 on its lowest word, in the order of
+    those words.  Raises InfeasibleError when the signs disagree, and
     CapacityError for n above the dense limit before allocating anything.
     """
     n = group_core.validate_box_count(n)
@@ -138,25 +136,26 @@ def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
             f"dense eigenvalue problems support n <= {DENSE_EIG_MAX_BOXES}, got {n}"
         )
     constraints = list(constraints)
-    if not constraints:
-        return np.eye(group_core.factorial_dim(n))
     for c in constraints:
         if c.pair.y >= n:
             raise ValidationError(f"constraint pair {c.pair} invalid for n = {n}")
-    seen: dict[group_core.Pair, int] = {}
-    for c in constraints:
-        if seen.setdefault(c.pair, c.value) != c.value:
-            raise InfeasibleError(f"conflicting constraints on pair {c.pair}")
-    signed = group_core.exchange_matrix(n, [seen.get(p, 0) for p in group_core.canonical_pairs(n)])
-    accum = np.eye(group_core.factorial_dim(n)) * (len(seen) / 2.0) - signed / 2.0
-    dec = symmetric_spectrum(accum)
-    kernel = np.abs(dec.eigenvalues) <= KERNEL_TOL
-    if not kernel.any():
+    table = group_core.exchange_table(n)
+    mappings = [(table.mappings[table.row[c.pair]], c.value) for c in constraints]
+    low, sign = np.arange(table.mappings.shape[1]), np.ones(table.mappings.shape[1])
+    drops = 1
+    while drops:  # spread each word's lowest orbit-mate, and its sign relative to it
+        drops = 0
+        for m, s in mappings:
+            drop = low[m] < low
+            low[drop], sign[drop] = low[m][drop], s * sign[m][drop]
+            drops += np.count_nonzero(drop)
+    if any(np.any(sign[m] != s * sign) for m, s in mappings):
         raise InfeasibleError(
             "constraints have an empty joint eigenspace: "
-            + ", ".join(f"v_{p}={v:+d}" for p, v in seen.items())
+            + ", ".join(f"v_{c.pair}={c.value:+d}" for c in constraints)
         )
-    return dec.eigenvectors[:, kernel]
+    _, column, size = np.unique(low, return_inverse=True, return_counts=True)
+    return np.eye(size.shape[0])[column] * (sign / np.sqrt(size[column]))[:, None]
 
 
 def constraint_projector(n: int, constraints) -> np.ndarray:

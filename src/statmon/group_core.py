@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, ValidationError
+from .errors import CapacityError, ConvergenceError, ValidationError, as_count
 
 MAX_BOXES = 7  # 7! = 5040 basis words; hard desk-scale cap
 
@@ -31,11 +31,10 @@ Word = tuple[int, ...]
 
 
 def validate_box_count(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"box count must be an integer, got {n!r}")
+    n = as_count(n, "box count")
     if n < 2 or n > MAX_BOXES:
         raise CapacityError(f"box count must be in [2, {MAX_BOXES}], got {n}")
-    return int(n)
+    return n
 
 
 def box_letter(index: int) -> str:

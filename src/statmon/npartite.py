@@ -214,8 +214,13 @@ def spectral_bound(graph: ScenarioGraph) -> ScenarioBound:
 
 def scenario_report(graph: ScenarioGraph) -> ScenarioBound:
     """Both bounds plus a flag for whether the spectral bound strictly
-    improves on the triangle-only analysis."""
+    improves on the triangle-only analysis.  With free edges, fixed edges
+    that no state meets raise InfeasibleError, which neither bound catches:
+    the triangles test only fully typed triples, and spectral_bound relaxes
+    the fixed edges to objective weights."""
     tri = triangle_bounds(graph) if graph.free else None
+    if graph.free:
+        extremal.joint_eigenspace_basis(graph.n, [extremal.Constraint(p, v) for p, v in graph.fixed])
     spectral = spectral_bound(graph)
     improvement = None
     if tri is not None and spectral.spectral_bound is not None:

@@ -44,6 +44,8 @@ NAMED_STATES = (
 def _validate_v(v) -> tuple[float, float, float]:
     """v as three floats within [-1, 1] (to MEMBERSHIP_TOL): a sequence of
     three numbers or an array of shape (3,); anything else is refused."""
+    if isinstance(v, (str, bytes)):  # iterating it would read "100" as (1, 0, 0)
+        raise ValidationError(f"expected 3 pair expectations as numbers, got {v!r}")
     shape = getattr(v, "shape", None)
     if shape is not None and len(shape) != 1:  # iterating it would give rows, not entries
         raise ValidationError(f"expected 3 pair expectations, got shape {shape}")

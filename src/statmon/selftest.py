@@ -3,12 +3,14 @@ expectations instead of trusting cached constants."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import extremal, group_core, monogamy, npartite, observables, states
 from .eigh import symmetric_spectrum
+from .errors import InfeasibleError
 
 ALGEBRA_TOL = 1e-12
 STATE_TOL = 1e-9
@@ -418,6 +420,48 @@ def constrained_extremal_contracts():
             assert np.abs(P @ op - op @ P).max() <= 1e-10
             assert np.abs(op @ basis - c.value * basis).max() <= 1e-10
     return "constrained <= unconstrained; projector idempotent and commuting"
+
+
+def _dense_kernel_projectors(n: int, signs: np.ndarray) -> list:
+    """For each row of constraint signs (0 where a pair is unconstrained), the
+    projector onto the kernel of sum_i (I - s_i Pi_i)/2, or None where it is
+    empty: the dense build and eigensolve that the orbit basis replaces."""
+    dim = group_core.factorial_dim(n)
+    counts = np.abs(signs).sum(axis=1)[:, None, None]
+    values, vectors = np.linalg.eigh((counts * np.eye(dim) - group_core.exchange_matrix(n, signs)) / 2.0)
+    kernels = [V[:, np.abs(w) <= 1e-10] for w, V in zip(values, vectors)]  # PSD: kernel is w ~ 0
+    return [K @ K.T if K.shape[1] else None for K in kernels]
+
+
+@_check
+def orbit_basis_matches_dense_kernel():
+    """joint_eigenspace_basis against the dense kernel of sum_i (I - s_i Pi_i)/2
+    for all 27 sign patterns at n = 3 and 24 seeded ones at n = 4: the same
+    verdicts and projectors, and entries exactly +-1/sqrt(orbit size) with
+    +1 on each orbit's lowest word, columns in the order of those words."""
+    patterns = {
+        3: np.array(list(itertools.product((0, 1, -1), repeat=3))),
+        4: np.random.default_rng(2202).choice([0, 0, 1, -1], size=(24, 6)),  # half unconstrained
+    }
+    worst, feasible = 0.0, 0
+    for n, signs in patterns.items():
+        for row, reference in zip(signs, _dense_kernel_projectors(n, signs)):
+            constraints = [extremal.Constraint(p, int(s)) for p, s in zip(group_core.canonical_pairs(n), row) if s]
+            try:
+                basis = extremal.joint_eigenspace_basis(n, constraints)
+            except InfeasibleError:
+                assert reference is None, f"n = {n}, signs {row.tolist()}: the dense kernel is not empty"
+                continue
+            assert reference is not None, f"n = {n}, signs {row.tolist()}: the dense kernel is empty"
+            support = basis != 0.0
+            sizes, lowest = support.sum(axis=0), support.argmax(axis=0)
+            assert np.array_equal(support.sum(axis=1), np.ones(len(basis))) and np.all(np.diff(lowest) > 0)
+            assert np.array_equal(np.abs(basis), support / np.sqrt(sizes))
+            assert np.array_equal(basis[lowest, np.arange(len(sizes))], 1.0 / np.sqrt(sizes))
+            worst = max(worst, np.abs(basis @ basis.T - reference).max())
+            feasible += 1
+    assert worst <= ALGEBRA_TOL
+    return f"51 sign patterns at n = 3, 4 ({feasible} feasible): same verdicts, projector gap <= {worst:.1e}"
 
 
 @_check

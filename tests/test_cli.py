@@ -218,6 +218,15 @@ def test_scenario_with_no_typed_triangle_has_triangle_bound_one(tmp_path, capsys
     assert payload["improvement"] is False
 
 
+def test_scenario_with_fixed_edges_no_state_meets_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "clash.json"
+    scenario.write_text(json.dumps({"n": 4, "fixed": {"AB": 1, "BC": -1}, "free": ["CD"]}))
+    code, out, err = run(capsys, "scenario", "--file", str(scenario))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("statmon: infeasible:")
+
+
 def test_scenario_missing_file(capsys):
     code, _, err = run(capsys, "scenario", "--file", "/nonexistent/x.json")
     assert code == 1

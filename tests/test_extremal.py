@@ -239,7 +239,7 @@ def test_random_search_is_a_lower_bound_that_improves():
 
 
 def test_dense_eigensolve_capacity():
-    with pytest.raises(Exception) as info:
+    with pytest.raises(CapacityError) as info:
         ex.max_expectation(ex.Objective.from_pairs(6, {"AB": 1.0}))
     assert "n <= 5" in str(info.value)
 

@@ -52,8 +52,8 @@ def test_check_validates_range():
 
 @pytest.mark.parametrize(
     "v",
-    [np.zeros((1, 3)), np.zeros((3, 1)), np.float64(0.5), [0.0, 0.0], [0.0] * 4, ["a", 0, 0], [1j, 0, 0]],
-    ids=["row", "column", "scalar", "two", "four", "text", "complex"],
+    [np.zeros((1, 3)), np.zeros((3, 1)), np.float64(0.5), [0.0, 0.0], [0.0] * 4, ["a", 0, 0], [1j, 0, 0], "100", b"100"],
+    ids=["row", "column", "scalar", "two", "four", "text", "complex", "string", "bytes"],
 )
 def test_check_refuses_a_v_that_is_not_three_numbers(v):
     checks = (mg.check_sqrt, lambda v: mg.check_theta(v, 1.0), mg.theta_family_margin, mg.RegionCheck.evaluate)

@@ -155,6 +155,24 @@ def test_three_box_scenario_matches_constrained_route():
     assert abs((report.lambda_max - 1.0) / 2.0 - constrained.value / 2.0) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 4, "fixed": {"AB": 1, "BC": -1}, "free": ["CD"]},
+        {"n": 5, "fixed": {"AB": 1, "BC": -1, "DE": 1}, "free": ["AD"]},
+    ],
+    ids=["n4", "n5"],
+)
+def test_report_refuses_fixed_edges_no_state_meets(obj):
+    # v_AB = +1 and v_BC = -1 have no common eigenvector, but AC is untyped,
+    # so no triangle sees them; the spectral bound alone is only a relaxation
+    graph = npx.ScenarioGraph.from_jsonable(obj)
+    assert npx.triangle_bounds(graph) == 1.0
+    assert npx.spectral_bound(graph).spectral_bound is not None
+    with pytest.raises(InfeasibleError, match="empty joint eigenspace"):
+        npx.scenario_report(graph)
+
+
 def test_partial_coverage_skips_untyped_triangles():
     # AD is neither fixed nor free: triangles through AD are skipped but the
     # ABC triangle still bounds x
