@@ -29,11 +29,13 @@ def _lazy(name: str):
     return module
 
 
-# Every numpy layer is bound lazily, so `check`, `--help` and usage errors
-# never import numpy.  Each sits in sys.modules from the start, where
-# perfbench's tracer looks it up.
-eigh, extremal, group_core, monogamy, npartite, observables, selftest, states = map(
-    _lazy, ("eigh", "extremal", "group_core", "monogamy", "npartite", "observables", "selftest", "states")
+# Every layer but region is bound lazily, so `check`, `--help` and usage
+# errors never import numpy, and `state` and `v` of a three-box state only
+# state3.  Each sits in sys.modules from the start, where perfbench's tracer
+# looks it up.
+eigh, extremal, group_core, monogamy, npartite, observables, selftest, state3, states = map(
+    _lazy,
+    ("eigh", "extremal", "group_core", "monogamy", "npartite", "observables", "selftest", "state3", "states"),
 )
 
 EXIT_OK = 0
@@ -64,7 +66,10 @@ def _emit(obj, stream=None) -> None:
 
 
 def _parse_sign_flag(text: str) -> int:
-    return observables.parse_sign(text if text in ("+", "-") else int(text))
+    try:
+        return state3.parse_sign(text if text in ("+", "-") else int(text))
+    except ValueError:  # int() failed, or a number other than +-1
+        raise argparse.ArgumentTypeError(f"sign must be + or -, got {text!r}") from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -88,17 +93,18 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
-def _resolve_state(source: str) -> states.PureState:
-    """A catalog name (chi excluded: it needs parameters) or a JSON file path."""
+def _resolve_state(source: str) -> tuple[int, list]:
+    """Box count and canonical-order amplitudes of a catalog name (chi
+    excluded: it needs parameters) or a state JSON file path."""
     if source == "chi":
         raise ValidationError("chi needs parameters; use `statmon state --name chi ...`")
     if source in region.NAMED_STATES:
-        return states.named_state(source)
+        return 3, state3.named_amplitudes(source)
     if not Path(source).exists():
         raise ValidationError(
             f"{source!r} is neither a named state {region.NAMED_STATES} nor a file"
         )
-    return states.state_from_jsonable(_read_json(source))
+    return state3.read_state(_read_json(source))
 
 
 def _parse_v(text: str) -> list[float]:
@@ -134,26 +140,35 @@ def _infer_boxes(pairs, explicit: int | None) -> int:
     return explicit if explicit is not None else max((p.y + 1 for p in pairs), default=2)
 
 
-def _v_payload(state: states.PureState) -> dict:
-    return {
-        "n": state.n,
-        "pairs": [p.label() for p in group_core.canonical_pairs(state.n)],
-        "v": [float(x) for x in observables.v_vector(state)],
-    }
+_CHI_PARAMS = ("theta", "phi", "s1", "s2")
 
 
 def _cmd_state(args) -> int:
-    chi = {k: getattr(args, k) for k in ("theta", "phi", "s1", "s2") if getattr(args, k) is not None}
+    chi = {k: getattr(args, k) for k in _CHI_PARAMS if getattr(args, k) is not None}
     if args.name is None and chi:
         raise ValidationError("--theta, --phi, --s1 and --s2 apply to --name chi only")
-    state = states.named_state(args.name, **chi) if args.name else _resolve_state(args.file)
+    if args.name is None:
+        n, amps = _resolve_state(args.file)
+    elif args.name != "chi":
+        n, amps = 3, state3.named_amplitudes(args.name, **chi)
+    elif len(chi) < len(_CHI_PARAMS):
+        missing = ", ".join(f"--{k}" for k in _CHI_PARAMS if k not in chi)
+        raise ValidationError(f"chi needs --theta, --phi, --s1 and --s2; missing {missing}")
+    else:
+        n, amps = 3, state3.chi_amplitudes(**chi)
     with _output(args.out) as fh:
-        _emit(states.state_to_jsonable(state), fh)
+        _emit(state3.state_jsonable(n, amps), fh)
     return EXIT_OK
 
 
 def _cmd_v(args) -> int:
-    _emit(_v_payload(_resolve_state(args.state)))
+    n, amps = _resolve_state(args.state)
+    if n == 3:
+        pairs, v = state3.PAIR_LABELS3, state3.v_of_amplitudes(amps)
+    else:  # numpy's batched kernel
+        pairs = [p.label() for p in group_core.canonical_pairs(n)]
+        v = observables.v_vector(states.PureState(n, amps))
+    _emit({"n": n, "pairs": list(pairs), "v": [float(x) for x in v]})
     return EXIT_OK
 
 
@@ -189,8 +204,10 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_scenario(args) -> int:
     graph = npartite.ScenarioGraph.from_jsonable(_read_json(args.file))
-    _emit(npartite.scenario_report(graph).to_jsonable())
-    return EXIT_OK
+    report = npartite.scenario_report(graph)
+    _emit(report.to_jsonable())
+    # feasible is None when free edges leave the answer to the bounds
+    return EXIT_OUTSIDE if report.feasible is False else EXIT_OK
 
 
 def _cmd_selftest(args) -> int:

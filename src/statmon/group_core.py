@@ -16,25 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, ValidationError, as_count
-
-MAX_BOXES = 7  # 7! = 5040 basis words; hard desk-scale cap
+from .errors import ConvergenceError, ValidationError
+from .state3 import MAX_BOXES, PAPER3_WORDS, validate_box_count
 
 _LETTERS = "ABCDEFG"
 
-# Basis order fixed for n = 3 so that printed amplitudes match the usual
-# listing ABC, BAC, CAB, CBA, ACB, BCA.  Every other n uses lexicographic
-# order of words.
-PAPER3_WORDS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (2, 1, 0), (0, 2, 1), (1, 2, 0))
-
 Word = tuple[int, ...]
-
-
-def validate_box_count(n: int) -> int:
-    n = as_count(n, "box count")
-    if n < 2 or n > MAX_BOXES:
-        raise CapacityError(f"box count must be in [2, {MAX_BOXES}], got {n}")
-    return n
 
 
 def box_letter(index: int) -> str:

@@ -15,10 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import group_core, region
-from .eigh import symmetric_spectrum
+from . import group_core, region, state3
 from .errors import ContractError, ConvergenceError, ValidationError
-from .states import MixedState, PureState, named_state
+from .state3 import parse_sign, sign_index
+from .state3 import validate_angle as _validate_angle
+from .states import MixedState, PureState
 
 HERMITICITY_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-9
@@ -149,15 +150,6 @@ def w_frame() -> WFrame:
     return WFrame(w1, w2, w3, W1, W2, W3)
 
 
-def _validate_angle(theta: float, upper: float, name: str, inclusive: bool = False) -> float:
-    theta = float(theta)
-    top = upper + 1e-12 if inclusive else upper
-    if not np.isfinite(theta) or not (0.0 <= theta < top):
-        bracket = "]" if inclusive else ")"
-        raise ValidationError(f"{name} must lie in [0, {upper:.6g}{bracket}, got {theta}")
-    return theta
-
-
 def w_theta(theta: float) -> np.ndarray:
     """W2 cos(theta) + W3 sin(theta) for theta in [0, 2pi)."""
     theta = _validate_angle(theta, 2.0 * np.pi, "theta")
@@ -165,22 +157,12 @@ def w_theta(theta: float) -> np.ndarray:
     return frame.W2 * np.cos(theta) + frame.W3 * np.sin(theta)
 
 
-def parse_sign(value) -> int:
-    if value in (+1, -1):
-        return int(value)
-    if value in ("+", "-"):
-        return 1 if value == "+" else -1
-    raise ValidationError(f"sign must be +1 or -1, got {value!r}")
-
-
 @lru_cache(maxsize=1)
 def _chi_bases() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows for sign s = +1 then -1: the (anti)symmetric state |s>, the
-    canonical s-eigenvector psi0 of W2, and s W3 psi0."""
-    sym = [named_state(name).amplitudes.real for name in ("sym_plus", "antisym_minus")]
-    dec = symmetric_spectrum(w_frame().W2)
-    psi0 = np.array([dec.eigenvectors[:, dec.cluster_slice(s).start] for s in (1.0, -1.0)])
-    bases = (np.array(sym), psi0, np.array([[1.0], [-1.0]]) * (psi0 @ w_frame().W3.T))
+    """state3.CHI_BASES as read-only (2, 6) arrays: rows for sign s = +1
+    then -1 of the (anti)symmetric state |s>, the s-eigenvector psi0 of W2,
+    and s W3 psi0."""
+    bases = tuple(np.array(rows) for rows in state3.CHI_BASES)
     for arr in bases:
         arr.setflags(write=False)
     return bases
@@ -201,11 +183,6 @@ def chi_amplitudes(thetas, phis) -> np.ndarray:
     psi_theta = np.cos(half) * psi0 + np.sin(half) * signed_w3_psi0  # (T, s2, 6)
     cos_phi, sin_phi = (f(phis)[None, :, None, None, None] for f in (np.cos, np.sin))
     return cos_phi * sym[None, None, :, None, :] + sin_phi * psi_theta[:, None, None, :, :]
-
-
-def sign_index(s) -> int:
-    """Position of a sign on the s1/s2 axes of chi_amplitudes."""
-    return 0 if parse_sign(s) > 0 else 1
 
 
 def chi_state(theta: float, phi: float, s1, s2) -> PureState:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extremal, group_core, monogamy, npartite, observables, states
+from . import extremal, group_core, monogamy, npartite, observables, state3, states
 from .eigh import symmetric_spectrum
 from .errors import InfeasibleError
 
@@ -357,6 +357,43 @@ def boundary_states_on_surface():
         assert abs(point.state.norm() - 1.0) <= ALGEBRA_TOL
     assert worst <= STATE_TOL
     return f"50 random boundary states, |margin| <= {worst:.1e}"
+
+
+@_check
+def state3_cross_check():
+    """The numpy-free single-state module against the numpy layers: its
+    exact chi bases, its exchange pairs, its v and its chi rows."""
+    f = observables.w_frame()
+    sym, psi0, signed_w3_psi0 = (np.array(rows) for rows in state3.CHI_BASES)
+    signs = np.array([[1.0], [-1.0]])
+    # the six rows are an orthonormal basis: |+-> lie in W2's kernel, psi0 in
+    # its s-eigenspace and s W3 psi0 in its -s one (W2 and W3 are symmetric)
+    basis = np.concatenate([sym, psi0, signed_w3_psi0])
+    worst = max(
+        np.abs(psi0 @ f.W2 - signs * psi0).max(),
+        np.abs(signs * (psi0 @ f.W3) - signed_w3_psi0).max(),
+        np.abs(basis @ basis.T - np.eye(6)).max(),
+    )
+    assert worst <= 1e-15
+    table = group_core.exchange_table(3)
+    assert [[list(pair) for pair in zip(*pairs)] for pairs in state3.EXCHANGE_PAIRS3] == [
+        [lo, hi] for lo, hi in zip(table.lo.tolist(), table.hi.tolist())
+    ]
+    # seeded rows stored in either word order read back to exchange_rows' v bits
+    amps = states.random_amplitudes(3, 16, np.random.default_rng(23))
+    lex = group_core.BasisOrdering.canonical(3).indices(group_core.BasisOrdering(3, "lex").word_array)
+    want = observables.exchange_rows(amps, 3)
+    for kind, order in (("paper3", slice(None)), ("lex", lex)):
+        parts = np.stack([amps.real, amps.imag], axis=-1)[:, order].tolist()
+        got = [state3.v_of_amplitudes(state3.read_state({"n": 3, "ordering": kind, "amplitudes": row})[1])
+               for row in parts]
+        assert np.array(got).tobytes() == want.tobytes(), kind
+    # chi_amplitudes' rows run (theta, phi, s1, s2), signs +1 then -1
+    thetas, phis = (0.0, 1.3, 3.1, 5.2, 6.28), (0.0, 0.9, np.pi / 2.0)
+    rows = [state3.chi_amplitudes(*point) for point in itertools.product(thetas, phis, (1, -1), (1, -1))]
+    gap = np.abs(np.array(rows) - observables.chi_amplitudes(thetas, phis).reshape(-1, 6)).max()
+    assert gap <= 1e-15
+    return f"chi bases residual <= {worst:.1e}; 32 stored rows' v bit for bit; 60 chi rows within 1e-15"
 
 
 @_check

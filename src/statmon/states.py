@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from . import eigh, group_core
+from . import eigh, group_core, state3
 from .errors import CapacityError, ValidationError, as_seed
-from .region import NAMED_STATES
+from .region import NAMED_STATES  # exported as statmon.NAMED_STATES
+from .state3 import NORM_TOL
 
-NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -209,32 +208,6 @@ class MixedState:
         return self.matrix.shape[0]
 
 
-_R6 = 1.0 / np.sqrt(6.0)
-
-# Catalog states given word by word, as {word: amplitude}
-_CATALOG3 = {
-    "sym_plus": dict.fromkeys(("ABC", "BAC", "CAB", "CBA", "ACB", "BCA"), _R6),
-    # each word's amplitude carries the sign of its permutation
-    "antisym_minus": {"ABC": _R6, "BAC": -_R6, "CAB": _R6, "CBA": -_R6, "ACB": -_R6, "BCA": _R6},
-    # (|ABC> + |BAC> - |ACB> - |BCA>) / 2: bosonic AB pair with the most
-    # fermionic BC/AC behavior, v = (1, -1/2, -1/2)
-    "eq5": {"ABC": 0.5, "BAC": 0.5, "ACB": -0.5, "BCA": -0.5},
-    # fermionic AB pair with the most bosonic rest, v = (-1, 1/2, 1/2)
-    "eq6": {"ABC": 0.5, "BAC": -0.5, "ACB": 0.5, "BCA": -0.5},
-    # component of the nontransitive state, v = (1/2, 1/2, -1)
-    "phi_eq23": {"ABC": 0.5, "BAC": 0.5, "CBA": -0.5, "BCA": -0.5},
-}
-
-
-@lru_cache(maxsize=None)
-def _catalog3(name: str) -> tuple[complex, ...]:
-    ordering = group_core.BasisOrdering.canonical(3)
-    amps = np.zeros(6, dtype=np.complex128)
-    for word, amp in _CATALOG3[name].items():
-        amps[ordering.word_to_index(group_core.parse_word(word))] = amp
-    return tuple(amps)
-
-
 def named_state(name: str, **params) -> PureState:
     """Resolve a catalog name to a normalized three-box state.
 
@@ -248,42 +221,13 @@ def named_state(name: str, **params) -> PureState:
             return observables.chi_state(**params)
         except TypeError as exc:  # a missing, unexpected or non-numeric parameter
             raise ValidationError(f"chi takes theta, phi, s1 and s2: {exc}") from None
-    if params:
-        raise ValidationError(f"state {name!r} takes no parameters")
-    if name == "nontransitive_3_5":
-        phi_part = np.asarray(_catalog3("phi_eq23"))
-        sym = np.asarray(_catalog3("sym_plus"))
-        return PureState(3, np.sqrt(4.0 / 5.0) * phi_part + sym / np.sqrt(5.0))
-    if name not in NAMED_STATES:
-        raise ValidationError(f"unknown named state {name!r}; choose from {NAMED_STATES}")
-    return PureState(3, np.asarray(_catalog3(name)))
+    return PureState(3, state3.named_amplitudes(name, **params))
 
 
 def state_to_jsonable(state: PureState) -> dict:
     """Schema: {"n": int, "ordering": "paper3"|"lex", "amplitudes": [[re, im], ...]}."""
-    return {
-        "n": state.n,
-        "ordering": state.ordering.kind,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-    }
+    return state3.state_jsonable(state.n, state.amplitudes)
 
 
 def state_from_jsonable(obj: dict) -> PureState:
-    try:
-        n = group_core.validate_box_count(obj["n"])
-        ordering_kind = obj["ordering"]
-        raw = obj["amplitudes"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed state JSON: {exc}") from None
-    if ordering_kind not in ("paper3", "lex"):
-        raise ValidationError(f"unknown ordering {ordering_kind!r}")
-    try:
-        amps = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed amplitude list: {exc}") from None
-    source = group_core.BasisOrdering(n, ordering_kind)
-    canonical = group_core.BasisOrdering.canonical(n)
-    if amps.shape[0] != source.dim:
-        raise ValidationError(f"expected {source.dim} amplitudes for n = {n}, got {amps.shape[0]}")
-    # entry k: the source amplitude of the canonical basis's k-th word
-    return PureState(n, amps[source.indices(canonical.word_array)])
+    return PureState(*state3.read_state(obj))

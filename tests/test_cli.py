@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
 import statmon
+from statmon import states as st
 from statmon.cli import build_parser, main
 from statmon.selftest import CHECKS
 
@@ -84,6 +85,12 @@ def test_v_named_state(capsys):
 def test_state_chi_requires_parameters(capsys):
     code, _, err = run(capsys, "state", "--name", "chi")
     assert code == 1 and "chi" in err
+    code, _, err = run(capsys, "state", "--name", "chi", "--theta", "1", "--s1", "+", "--s2", "+")
+    assert code == 1
+    assert err.endswith("statmon: error: chi needs --theta, --phi, --s1 and --s2; missing --phi\n")
+    code, _, err = run(capsys, "state", "--name", "chi", "--theta", "1", "--phi", "0.5", "--s1", "2", "--s2", "+")
+    assert code == 1
+    assert err.endswith("statmon: error: argument --s1: sign must be + or -, got '2'\n")
     code, out, _ = run(
         capsys, "state", "--name", "chi", "--theta", "0", "--phi", "1.5707963267948966",
         "--s1", "+", "--s2", "+",
@@ -227,6 +234,19 @@ def test_scenario_with_fixed_edges_no_state_meets_exits_2(tmp_path, capsys):
     assert err.startswith("statmon: infeasible:")
 
 
+def test_scenario_with_no_free_edges_that_no_state_meets_exits_2(tmp_path, capsys):
+    # with no free edges the report itself is the answer: printed, then exit 2
+    # as `check` exits for a v outside the region
+    scenario = tmp_path / "clash.json"
+    scenario.write_text(json.dumps({"n": 4, "fixed": {"AB": 1, "BC": -1}}))
+    code, out, _ = run(capsys, "scenario", "--file", str(scenario))
+    assert code == 2
+    assert json.loads(out)["feasible"] is False
+    scenario.write_text(json.dumps({"n": 4, "fixed": {"AB": 1, "BC": 1}}))
+    code, out, _ = run(capsys, "scenario", "--file", str(scenario))
+    assert code == 0 and json.loads(out)["feasible"] is True
+
+
 def test_scenario_missing_file(capsys):
     code, _, err = run(capsys, "scenario", "--file", "/nonexistent/x.json")
     assert code == 1
@@ -280,7 +300,7 @@ import contextlib, io, json, sys, types
 import statmon.cli
 
 def layers():
-    names = ("statmon.extremal", "statmon.npartite", "statmon.selftest")
+    names = ("statmon.extremal", "statmon.npartite", "statmon.selftest", "statmon.state3")
     seen = {m.split(".")[1]: "absent" if m not in sys.modules
             else "run" if type(sys.modules[m]) is types.ModuleType else "lazy" for m in names}
     return dict(seen, numpy="numpy" in sys.modules)
@@ -296,19 +316,45 @@ print(json.dumps(seen))
 """
 
 
-def test_importing_the_cli_leaves_out_the_thread_pool():
+def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
     # concurrent.futures pulls in logging: a few ms of import that only audit
     # needs; numpy is most of a `check`'s time, and the answer needs none of it
     without_numpy = [
         ["check", "--v", "0.6,0.6,-0.6"], ["check", "--v", "1,1,-1"], ["--help"], ["check", "--v", "2,0,0"],
         ["check"],
     ]
-    seen = _fresh_python(_LAYER_PROBE % (without_numpy + [["extremal", "--objective", "AB:1,BC:-1"]]))
-    untouched = {"extremal": "lazy", "npartite": "lazy", "selftest": "lazy", "numpy": False}
+    # state and v of a three-box state, and state of any stored one, run state3 only
+    eq5 = json.loads(run(capsys, "state", "--name", "eq5")[1])
+    payloads = {
+        "paper3": eq5,
+        # the k-th lex word ABC, ACB, BAC, BCA, CAB, CBA is paper3 word (0, 4, 1, 5, 2, 3)[k]
+        "lex": dict(eq5, ordering="lex", amplitudes=[eq5["amplitudes"][k] for k in (0, 4, 1, 5, 2, 3)]),
+        "four": st.state_to_jsonable(st.random_pure_state(4, 5)),
+    }
+    files = {name: tmp_path / f"{name}.json" for name in payloads}
+    for name, payload in payloads.items():
+        files[name].write_text(json.dumps(payload))
+    state3_only = [
+        ["state", "--name", "chi", "--theta", "1.25", "--phi", "0.5", "--s1", "+", "--s2", "-"],
+        ["state", "--name", "eq5"], ["state", "--file", str(files["four"])], ["v", "--state", "nontransitive_3_5"],
+        ["v", "--state", str(files["paper3"])], ["v", "--state", str(files["lex"])],
+    ]
+    four_box_v = ["v", "--state", str(files["four"])]
+    for argv in state3_only + [four_box_v]:
+        assert run(capsys, *argv)[0] == 0, argv
+    for name in ("paper3", "lex"):
+        assert json.loads(run(capsys, "v", "--state", str(files[name]))[1])["v"] == [1.0, -0.5, -0.5]
+    seen = _fresh_python(
+        _LAYER_PROBE % (without_numpy + state3_only + [four_box_v, ["extremal", "--objective", "AB:1,BC:-1"]])
+    )
+    untouched = {"extremal": "lazy", "npartite": "lazy", "selftest": "lazy", "state3": "lazy", "numpy": False}
     assert seen.pop("import") == untouched
     for argv in without_numpy:
         assert seen.pop(" ".join(argv)) == untouched, argv
-    assert seen.pop("extremal --objective AB:1,BC:-1") == dict(untouched, extremal="run", numpy=True)
+    for argv in state3_only:
+        assert seen.pop(" ".join(argv)) == dict(untouched, state3="run"), argv
+    assert seen.pop(" ".join(four_box_v)) == dict(untouched, state3="run", numpy=True)
+    assert seen.pop("extremal --objective AB:1,BC:-1") == dict(untouched, extremal="run", state3="run", numpy=True)
     assert seen == {"pool": []}
 
 
@@ -422,6 +468,17 @@ MALFORMED = {
     # the norm's squares overflowed with numpy's RuntimeWarning before the refusal
     "state-amplitude-overflows-the-norm": [
         "v", "--state", {"n": 3, "ordering": "paper3", "amplitudes": [[1e200, 0]] + [[0, 0]] * 5},
+    ],
+    # complex() reads true as 1 and false as 0
+    "state-amplitude-is-a-boolean": [
+        "v", "--state", {"n": 3, "ordering": "paper3", "amplitudes": [[True, 0], [False, 0]] + [[0, 0]] * 4},
+    ],
+    "state-file-amplitude-is-a-boolean": [
+        "state", "--file", {"n": 3, "ordering": "lex", "amplitudes": [[0, False], [True, 0]] + [[0, 0]] * 4},
+    ],
+    # an integer past the float range raised a bare OverflowError
+    "state-amplitude-integer-overflows-a-float": [
+        "v", "--state", '{"n": 3, "ordering": "paper3", "amplitudes": [[1' + "0" * 400 + ', 0]' + ", [0, 0]" * 5 + "]}",
     ],
 }
 

@@ -7,6 +7,7 @@ from statmon import group_core as gc
 from statmon import observables as ob
 from statmon import selftest
 from statmon import states as st
+from statmon.eigh import symmetric_spectrum
 from statmon.errors import ContractError, ValidationError
 
 AB, BC, AC = (gc.exchange_operator(3, p) for p in gc.canonical_pairs(3))
@@ -178,7 +179,8 @@ def test_closed_form_boundary_vector_is_w_theta_eigenvector():
 
 
 def test_chi_state_at_theta_zero_is_the_solver_w2_eigenvector():
-    dec = ob.symmetric_spectrum(ob.w_frame().W2)
+    # the exact psi0 basis against the eigensolver's canonical eigenvector
+    dec = symmetric_spectrum(ob.w_frame().W2)
     for s2 in (1, -1):
         psi0 = dec.eigenvectors[:, dec.cluster_slice(float(s2)).start]
         assert np.abs(ob.chi_state(0.0, np.pi / 2.0, +1, s2).amplitudes - psi0).max() <= 1e-15

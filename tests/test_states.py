@@ -286,3 +286,6 @@ def test_state_json_rejects_malformed():
         st.state_from_jsonable({"n": 4, "ordering": "paper3", "amplitudes": []})
     with pytest.raises(ValidationError):
         st.state_from_jsonable({"ordering": "lex"})
+    # complex() would read true as 1
+    with pytest.raises(ValidationError, match="amplitude parts must be numbers"):
+        st.state_from_jsonable({"n": 3, "ordering": "paper3", "amplitudes": [[True, 0]] + [[0, 0]] * 5})
