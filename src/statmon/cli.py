@@ -30,9 +30,9 @@ def _lazy(name: str):
 
 
 # Every layer but region is bound lazily, so `check`, `--help` and usage
-# errors never import numpy, and `state` and `v` of a three-box state only
-# state3.  Each sits in sys.modules from the start, where perfbench's tracer
-# looks it up.
+# errors never import numpy, and `state`, `v` of a three-box state and
+# `surface` run only state3.  Each sits in sys.modules from the start, where
+# perfbench's tracer looks it up.
 eigh, extremal, group_core, monogamy, npartite, observables, selftest, state3, states = map(
     _lazy,
     ("eigh", "extremal", "group_core", "monogamy", "npartite", "observables", "selftest", "state3", "states"),
@@ -140,22 +140,17 @@ def _infer_boxes(pairs, explicit: int | None) -> int:
     return explicit if explicit is not None else max((p.y + 1 for p in pairs), default=2)
 
 
-_CHI_PARAMS = ("theta", "phi", "s1", "s2")
-
-
 def _cmd_state(args) -> int:
-    chi = {k: getattr(args, k) for k in _CHI_PARAMS if getattr(args, k) is not None}
+    chi = {k: getattr(args, k) for k in state3.CHI_PARAMS if getattr(args, k) is not None}
     if args.name is None and chi:
         raise ValidationError("--theta, --phi, --s1 and --s2 apply to --name chi only")
     if args.name is None:
         n, amps = _resolve_state(args.file)
-    elif args.name != "chi":
-        n, amps = 3, state3.named_amplitudes(args.name, **chi)
-    elif len(chi) < len(_CHI_PARAMS):
-        missing = ", ".join(f"--{k}" for k in _CHI_PARAMS if k not in chi)
+    elif args.name == "chi" and len(chi) < len(state3.CHI_PARAMS):
+        missing = ", ".join(f"--{k}" for k in state3.CHI_PARAMS if k not in chi)
         raise ValidationError(f"chi needs --theta, --phi, --s1 and --s2; missing {missing}")
     else:
-        n, amps = 3, state3.chi_amplitudes(**chi)
+        n, amps = 3, state3.named_amplitudes(args.name, **chi)
     with _output(args.out) as fh:
         _emit(state3.state_jsonable(n, amps), fh)
     return EXIT_OK
@@ -165,9 +160,9 @@ def _cmd_v(args) -> int:
     n, amps = _resolve_state(args.state)
     if n == 3:
         pairs, v = state3.PAIR_LABELS3, state3.v_of_amplitudes(amps)
-    else:  # numpy's batched kernel
+    else:  # numpy's batched kernel, on the amplitudes read_state validated
         pairs = [p.label() for p in group_core.canonical_pairs(n)]
-        v = observables.v_vector(states.PureState(n, amps))
+        v = observables.exchange_rows([amps], n)[0]
     _emit({"n": n, "pairs": list(pairs), "v": [float(x) for x in v]})
     return EXIT_OK
 
@@ -179,9 +174,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    points = monogamy.surface_mesh(args.theta_steps, args.phi_steps)
+    thetas, phis = state3.mesh_axes(args.theta_steps, args.phi_steps)
+    v_rows = (v for _, v, _ in state3.boundary_rows(thetas, phis))
     with _output(args.out) as fh:
-        monogamy.write_mesh_csv(points, fh)
+        state3.write_boundary_csv(thetas, phis, v_rows, fh)
     return EXIT_OK
 
 

@@ -9,21 +9,21 @@ linear checks parametrized by an angle theta, and the closed sqrt form
 which is the theta-family's supremum and the authoritative test.  Their
 single-v forms live in `region`, without numpy, and are rebound here; the
 stacked forms below reuse region's arithmetic.  Boundary states
-cos(phi)|+-> + sin(phi)|psi_theta^(+-)> realize every surface point.
+cos(phi)|+-> + sin(phi)|psi_theta^(+-)> realize every surface point; their
+rows and CSV come from state3, and the mesh here holds them as arrays.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import group_core, observables, states
-from .errors import CapacityError, ConvergenceError, ValidationError, as_count, as_seed
+from . import group_core, state3, states
+from .errors import CapacityError, ValidationError, as_count, as_seed
 from .region import (
     MEMBERSHIP_TOL,
     THETA_GRID_DEFAULT,
@@ -37,13 +37,12 @@ from .region import (
     theta_margin_of_v,
 )
 
-BOUNDARY_TOL = 1e-9
-MESH_MAX_ROWS = 2**20  # 120 MiB of arrays at the cap (amplitudes 96, v 24); about 147 MiB peak
-CSV_BLOCK_ROWS = 2**14  # rows formatted per write: about 1.3 MB of CSV text
 AUDIT_SHARD = 16384
 AUDIT_BLOCK_ROWS = 4096  # shard rows per kernel pass: their 384 KiB planar copy stays in L2
 AUDIT_MAX_DRAWS = 2**30  # 65536 shards; at about 0.3 us per draw per core, minutes of work
-_SIGNS = (1, -1)  # s1/s2 values along the sign axes of observables.chi_amplitudes
+_SIGNS = (1, -1)  # s1/s2 values in state3.boundary_rows' order
+# one state3.boundary_rows row
+_ROW = np.dtype([("amplitudes", np.float64, 6), ("v", np.float64, 3), ("margin", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -64,25 +63,19 @@ class SurfaceMesh(Sequence):
     `thetas`, `phis`, `amplitudes` (N, 6) and `v` (N, 3) are read-only.
     Indexing and iteration build a row's SurfacePoint, with its validated
     PureState, only when asked; slices give lists, as for a list of points.
-    Every row is checked on construction: amplitudes finite and of unit norm
-    to states.NORM_TOL, and v on the region surface to within 1e-9.
+    Every row is checked on construction, by state3.boundary_rows:
+    amplitudes finite and of unit norm to states.NORM_TOL, and v on the
+    region surface to within 1e-9.
     """
 
     def __init__(self, thetas, phis):
         self.thetas = np.array(thetas, dtype=np.float64)
         self.phis = np.array(phis, dtype=np.float64)
-        amps = observables.chi_amplitudes(self.thetas, self.phis).reshape(-1, 6)
-        norm_error = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
-        if not (norm_error <= states.NORM_TOL).all():  # NaN compares false: non-finite rows fail
-            worst = norm_error.max()
-            raise ConvergenceError(f"surface amplitudes miss unit norm by {worst:.2e}; solver bug")
-        V = observables.exchange_rows(amps, 3)
-        worst = np.abs(_margins_of_v(V)).max()
-        if worst > BOUNDARY_TOL:
-            raise ConvergenceError(f"surface state missed the boundary by {worst:.2e}; solver bug")
-        self.amplitudes, self.v = amps, V
-        for arr in (self.thetas, self.phis, amps, V):
+        count = 4 * self.thetas.size * self.phis.size
+        rows = np.fromiter(state3.boundary_rows(self.thetas.tolist(), self.phis.tolist()), _ROW, count)
+        for arr in (self.thetas, self.phis, rows):
             arr.setflags(write=False)
+        self.amplitudes, self.v = rows["amplitudes"], rows["v"]  # read-only views of the rows
 
     def __len__(self) -> int:
         return self.v.shape[0]
@@ -105,7 +98,7 @@ class SurfaceMesh(Sequence):
 def surface_state(theta: float, phi: float, s1, s2) -> SurfacePoint:
     """Construct the boundary state for the given parameters and verify that
     its v-vector sits on the region surface to within 1e-9."""
-    row = 2 * observables.sign_index(s1) + observables.sign_index(s2)
+    row = 2 * state3.sign_index(s1) + state3.sign_index(s2)
     return SurfaceMesh([theta], [phi])[row]
 
 
@@ -115,37 +108,15 @@ def surface_mesh(theta_steps: int, phi_steps: int) -> SurfaceMesh:
 
     Distinct parameters may repeat the same v (every theta collapses to the
     two apexes at phi = 0); duplicates are emitted as-is.  Meshes above
-    MESH_MAX_ROWS rows are refused before anything is allocated.
+    state3.MESH_MAX_ROWS rows are refused before anything is allocated.
     """
-    theta_steps, phi_steps = as_count(theta_steps, "theta steps"), as_count(phi_steps, "phi steps")
-    if theta_steps < 2 or phi_steps < 2:
-        raise ValidationError("mesh needs at least 2 steps per axis")
-    if 4 * theta_steps * phi_steps > MESH_MAX_ROWS:
-        raise CapacityError(f"mesh has 4 x {theta_steps} x {phi_steps} rows, over {MESH_MAX_ROWS}")
-    thetas = np.arange(theta_steps) * (np.pi / theta_steps)
-    phis = np.linspace(0.0, np.pi / 2.0, phi_steps)
-    return SurfaceMesh(thetas, phis)
+    return SurfaceMesh(*state3.mesh_axes(theta_steps, phi_steps))
 
 
 def write_mesh_csv(points: SurfaceMesh, stream) -> None:
-    """CSV columns: v_AB,v_BC,v_AC,theta,phi,s1,s2 (12 significant digits).
-
-    Only `stream.write` is called, once for the header and once per block
-    of CSV_BLOCK_ROWS rows, so the text in memory stays bounded.  Each theta
-    and phi is formatted once; a row is a template that holds them as text,
-    and a block's v-values fill its templates with one `%`.
-    """
-    stream.write("v_AB,v_BC,v_AC,theta,phi,s1,s2\n")
-    tails = [f",{phi:.12g},{s}\n" for phi in points.phis.tolist() for s in ("+,+", "+,-", "-,+", "-,-")]
-    templates = (
-        "%.12g,%.12g,%.12g," + theta + tail
-        for theta in [f"{theta:.12g}" for theta in points.thetas.tolist()]
-        for tail in tails
-    )
-    for start in range(0, len(points), CSV_BLOCK_ROWS):
-        block = points.v[start : start + CSV_BLOCK_ROWS]
-        text = "".join(itertools.islice(templates, block.shape[0]))
-        stream.write(text % tuple(block.ravel().tolist()))
+    """The mesh as state3.write_boundary_csv writes it: columns
+    v_AB,v_BC,v_AC,theta,phi,s1,s2 at 12 significant digits, in blocks."""
+    state3.write_boundary_csv(points.thetas.tolist(), points.phis.tolist(), points.v.tolist(), stream)
 
 
 def mesh_csv_text(points) -> str:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import group_core, region, state3
 from .errors import ContractError, ConvergenceError, ValidationError
-from .state3 import parse_sign, sign_index
 from .state3 import validate_angle as _validate_angle
 from .states import MixedState, PureState
 
@@ -157,43 +156,17 @@ def w_theta(theta: float) -> np.ndarray:
     return frame.W2 * np.cos(theta) + frame.W3 * np.sin(theta)
 
 
-@lru_cache(maxsize=1)
-def _chi_bases() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """state3.CHI_BASES as read-only (2, 6) arrays: rows for sign s = +1
-    then -1 of the (anti)symmetric state |s>, the s-eigenvector psi0 of W2,
-    and s W3 psi0."""
-    bases = tuple(np.array(rows) for rows in state3.CHI_BASES)
-    for arr in bases:
-        arr.setflags(write=False)
-    return bases
-
-
-def chi_amplitudes(thetas, phis) -> np.ndarray:
-    """Boundary-family amplitudes on a (theta, phi) grid with both signs,
-    shape (len(thetas), len(phis), 2, 2, 6); sign axes s1, s2 run +1, -1.
-
-    W2 and W3 anticommute with equal squares, so if W2 psi0 = s psi0 then
-    cos(theta/2) psi0 + s sin(theta/2) W3 psi0 is a unit eigenvector of
-    W_theta with eigenvalue s: the closed form, psi0 itself at theta = 0.
-    """
-    thetas = np.array([_validate_angle(t, 2.0 * np.pi, "theta") for t in thetas])
-    phis = np.array([_validate_angle(p, np.pi / 2.0, "phi", inclusive=True) for p in phis])
-    sym, psi0, signed_w3_psi0 = _chi_bases()
-    half = thetas[:, None, None] / 2.0
-    psi_theta = np.cos(half) * psi0 + np.sin(half) * signed_w3_psi0  # (T, s2, 6)
-    cos_phi, sin_phi = (f(phis)[None, :, None, None, None] for f in (np.cos, np.sin))
-    return cos_phi * sym[None, None, :, None, :] + sin_phi * psi_theta[:, None, None, :, :]
-
-
 def chi_state(theta: float, phi: float, s1, s2) -> PureState:
     """Boundary-family state cos(phi)|s1> + sin(phi)|psi_theta^(s2)>.
 
     |+1> / |-1> are the fully symmetric / antisymmetric three-box states and
     psi_theta^(+-) is a unit eigenvector of W_theta.  Every such state sits
-    exactly on the monogamy region's surface.
+    exactly on the monogamy region's surface.  W2 and W3 anticommute with
+    equal squares, so if W2 psi0 = s psi0 then cos(theta/2) psi0 +
+    s sin(theta/2) W3 psi0 is a unit eigenvector of W_theta with eigenvalue
+    s: the closed form state3.chi_amplitudes takes, psi0 itself at theta = 0.
     """
-    i1, i2 = sign_index(s1), sign_index(s2)
-    return PureState(3, chi_amplitudes([theta], [phi])[0, 0, i1, i2])
+    return PureState(3, state3.chi_amplitudes(theta, phi, s1, s2))
 
 
 def bunching_probability(v: float) -> float:

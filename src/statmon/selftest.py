@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extremal, group_core, monogamy, npartite, observables, state3, states
+from . import extremal, group_core, monogamy, npartite, observables, region, state3, states
 from .eigh import symmetric_spectrum
 from .errors import InfeasibleError
 
@@ -362,7 +362,8 @@ def boundary_states_on_surface():
 @_check
 def state3_cross_check():
     """The numpy-free single-state module against the numpy layers: its
-    exact chi bases, its exchange pairs, its v and its chi rows."""
+    exact chi bases, its exchange pairs, its v and every boundary row of a
+    16 x 9 mesh."""
     f = observables.w_frame()
     sym, psi0, signed_w3_psi0 = (np.array(rows) for rows in state3.CHI_BASES)
     signs = np.array([[1.0], [-1.0]])
@@ -388,12 +389,24 @@ def state3_cross_check():
         got = [state3.v_of_amplitudes(state3.read_state({"n": 3, "ordering": kind, "amplitudes": row})[1])
                for row in parts]
         assert np.array(got).tobytes() == want.tobytes(), kind
-    # chi_amplitudes' rows run (theta, phi, s1, s2), signs +1 then -1
-    thetas, phis = (0.0, 1.3, 3.1, 5.2, 6.28), (0.0, 0.9, np.pi / 2.0)
-    rows = [state3.chi_amplitudes(*point) for point in itertools.product(thetas, phis, (1, -1), (1, -1))]
-    gap = np.abs(np.array(rows) - observables.chi_amplitudes(thetas, phis).reshape(-1, 6)).max()
+    # boundary rows, (theta, phi, s1, s2) with signs +1 then -1: W_theta takes
+    # chi = cos(phi)|s1> + sin(phi) psi_theta to s2 (chi - cos(phi)|s1>), since
+    # W_theta annihilates |s1>; v and margin are the scalar routes' bits
+    thetas, phis = state3.mesh_axes(16, 9)
+    amps, V, margins = (np.array(column) for column in zip(*state3.boundary_rows(thetas, phis)))
+    chi = amps.reshape(16, 9, 2, 2, 6)
+    cos_sym = np.cos(phis)[:, None, None, None] * sym[:, None, :]
+    gap = max(np.abs(chi[t] @ observables.w_theta(theta) - signs * (chi[t] - cos_sym)).max()
+              for t, theta in enumerate(thetas))
     assert gap <= 1e-15
-    return f"chi bases residual <= {worst:.1e}; 32 stored rows' v bit for bit; 60 chi rows within 1e-15"
+    assert V.tobytes() == observables.exchange_rows(amps, 3).tobytes()
+    # every fifth row, which visits each sign pair, each theta and each phi
+    assert V[::5].tobytes() == np.array([state3.v_of_amplitudes(row) for row in amps[::5].tolist()]).tobytes()
+    assert margins.tobytes() == np.array([region.check_sqrt(v) for v in V.tolist()]).tobytes()
+    return (
+        f"chi bases residual <= {worst:.1e}; 32 stored rows' v bit for bit; "
+        f"576 mesh rows: W_theta residual <= {gap:.1e}, v and margin bit for bit"
+    )
 
 
 @_check

@@ -1,23 +1,32 @@
 """Single states on plain floats: the paper3 basis, the named three-box
-catalog, the chi boundary family in closed form, the state-JSON reader and
-the v-vector of one three-box state.
+catalog, the chi boundary family in closed form, the boundary mesh and its
+CSV, the state-JSON reader and the v-vector of one three-box state.
 
-Everything here uses `math` only, so `statmon state` and `statmon v` of a
-three-box state answer without importing numpy.  The numpy layers read
-these definitions instead of keeping copies: group_core its paper3 order
-and box-count check, states its catalog and reader, observables its sign
-and angle checks and its chi bases.
+Everything here uses `math` only, so `statmon state`, `statmon v` of a
+three-box state and `statmon surface` answer without importing numpy.  The
+numpy layers read these definitions instead of keeping copies: group_core
+its paper3 order and box-count check, states its catalog and reader,
+observables its sign and angle checks and its chi state, monogamy its mesh
+rows and CSV writer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .errors import CapacityError, ValidationError, as_count
+from .errors import CapacityError, ConvergenceError, ValidationError, as_count
 from .region import NAMED_STATES
 
 MAX_BOXES = 7  # 7! = 5040 basis words; hard desk-scale cap
 NORM_TOL = 1e-9
+BOUNDARY_TOL = 1e-9
+# The rows stream to the CSV, so memory does not grow with the mesh: at the
+# cap, `statmon surface --theta-steps 1024 --phi-steps 256` takes 3.4-3.9 s
+# and peaks at about 26 MB resident (2-vCPU VM, Python 3.11).
+MESH_MAX_ROWS = 2**20
+CSV_BLOCK_ROWS = 2**14  # rows formatted per write: about 1.3 MB of CSV text
+CHI_PARAMS = ("theta", "phi", "s1", "s2")
 
 # Basis order fixed for n = 3 so that printed amplitudes match the usual
 # listing ABC, BAC, CAB, CBA, ACB, BCA.  Every other n uses lexicographic
@@ -41,6 +50,7 @@ EXCHANGE_PAIRS3 = tuple(_exchange_pairs(x, y) for x, y in ((0, 1), (1, 2), (0, 2
 
 _R6 = 1.0 / math.sqrt(6.0)
 _R12 = 1.0 / math.sqrt(12.0)
+_SQRT3 = math.sqrt(3.0)  # region's frame_of_v divides by it
 
 # Catalog states given word by word, as {word: amplitude}
 _CATALOG3 = {
@@ -88,7 +98,10 @@ def validate_box_count(n: int) -> int:
 
 
 def parse_sign(value) -> int:
-    if value in (+1, -1):
+    """+1 or -1 from a number equal to it (Python or numpy) or "+" / "-";
+    booleans, which compare equal to 1, are refused, numpy's by their dtype."""
+    boolean = isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+    if not boolean and value in (+1, -1):
         return int(value)
     if value in ("+", "-"):
         return 1 if value == "+" else -1
@@ -101,7 +114,10 @@ def sign_index(s) -> int:
 
 
 def validate_angle(theta: float, upper: float, name: str, inclusive: bool = False) -> float:
-    theta = float(theta)
+    try:
+        theta = float(theta)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {theta!r}") from None
     top = upper + 1e-12 if inclusive else upper
     if not math.isfinite(theta) or not (0.0 <= theta < top):
         bracket = "]" if inclusive else ")"
@@ -110,7 +126,14 @@ def validate_angle(theta: float, upper: float, name: str, inclusive: bool = Fals
 
 
 def named_amplitudes(name: str, **params) -> tuple[complex, ...]:
-    """Paper3-order amplitudes of a catalog state other than chi."""
+    """Paper3-order amplitudes of a catalog state: chi takes the keywords
+    CHI_PARAMS, every other name none."""
+    if name == "chi":
+        if unexpected := [k for k in params if k not in CHI_PARAMS]:
+            raise ValidationError(f"chi takes only theta, phi, s1 and s2; unexpected {', '.join(unexpected)}")
+        if missing := [k for k in CHI_PARAMS if k not in params]:
+            raise ValidationError(f"chi needs theta, phi, s1 and s2; missing {', '.join(missing)}")
+        return chi_amplitudes(**params)
     if params:
         raise ValidationError(f"state {name!r} takes no parameters")
     if name not in _NAMED:
@@ -120,8 +143,8 @@ def named_amplitudes(name: str, **params) -> tuple[complex, ...]:
 
 def chi_amplitudes(theta: float, phi: float, s1, s2) -> tuple[complex, ...]:
     """Paper3-order amplitudes of cos(phi)|s1> + sin(phi)|psi_theta^(s2)>,
-    with psi_theta = cos(theta/2) psi0 + sin(theta/2) s2 W3 psi0: one row of
-    observables.chi_amplitudes, by its arithmetic."""
+    with psi_theta = cos(theta/2) psi0 + sin(theta/2) s2 W3 psi0: the
+    amplitudes of boundary_rows' row, by its arithmetic."""
     i1, i2 = sign_index(s1), sign_index(s2)
     half = validate_angle(theta, 2.0 * math.pi, "theta") / 2.0
     phi = validate_angle(phi, math.pi / 2.0, "phi", inclusive=True)
@@ -195,3 +218,83 @@ def v_of_amplitudes(amps) -> tuple[float, float, float]:
             total += a.real * b.real + a.imag * b.imag
         v.append(2.0 * total)
     return tuple(v)
+
+
+def mesh_axes(theta_steps, phi_steps) -> tuple[list[float], list[float]]:
+    """The boundary mesh's axes: theta_k = k (pi/T) for k < T, as
+    np.arange(T) * (pi/T) gives them, and phi_k = k ((pi/2)/(P - 1)) for
+    k < P - 1, then pi/2 exactly, as np.linspace(0, pi/2, P) gives them.
+    The mesh has 4 T P rows; more than MESH_MAX_ROWS are refused."""
+    theta_steps, phi_steps = as_count(theta_steps, "theta steps"), as_count(phi_steps, "phi steps")
+    if theta_steps < 2 or phi_steps < 2:
+        raise ValidationError("mesh needs at least 2 steps per axis")
+    if 4 * theta_steps * phi_steps > MESH_MAX_ROWS:
+        raise CapacityError(f"mesh has 4 x {theta_steps} x {phi_steps} rows, over {MESH_MAX_ROWS}")
+    theta_step, phi_step = math.pi / theta_steps, (math.pi / 2.0) / (phi_steps - 1)
+    phis = [k * phi_step for k in range(phi_steps - 1)] + [math.pi / 2.0]
+    return [k * theta_step for k in range(theta_steps)], phis
+
+
+def boundary_rows(thetas, phis):
+    """Yield (amplitudes, v, margin) of the boundary state of each mesh row,
+    rows in (theta, phi, s1, s2) order with the signs +1 then -1: the real
+    paper3 amplitudes of chi_amplitudes, v by v_of_amplitudes' sums and
+    region.check_sqrt's margin, each by the same arithmetic, written out on
+    plain floats.
+
+    Every row is checked as it is made: amplitudes whose norm misses 1 by
+    more than NORM_TOL (NaN included), or a margin beyond BOUNDARY_TOL,
+    raise ConvergenceError.
+    """
+    thetas = [validate_angle(t, 2.0 * math.pi, "theta") for t in thetas]
+    phis = [validate_angle(p, math.pi / 2.0, "phi", inclusive=True) for p in phis]
+    syms, psi0s, signed_w3_psi0s = CHI_BASES
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    for theta in thetas:
+        cos_half, sin_half = cos(theta / 2.0), sin(theta / 2.0)
+        # psi_theta for s2 = +1 and -1
+        psis = [tuple(cos_half * p + sin_half * w for p, w in zip(*rows)) for rows in zip(psi0s, signed_w3_psi0s)]
+        for phi in phis:
+            cos_phi, sin_phi = cos(phi), sin(phi)
+            for a0, a1, a2, a3, a4, a5 in syms:
+                for p0, p1, p2, p3, p4, p5 in psis:
+                    x0 = cos_phi * a0 + sin_phi * p0
+                    x1 = cos_phi * a1 + sin_phi * p1
+                    x2 = cos_phi * a2 + sin_phi * p2
+                    x3 = cos_phi * a3 + sin_phi * p3
+                    x4 = cos_phi * a4 + sin_phi * p4
+                    x5 = cos_phi * a5 + sin_phi * p5
+                    error = abs(sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + x5 * x5) - 1.0)
+                    if not error <= NORM_TOL:
+                        raise ConvergenceError(f"surface amplitudes miss unit norm by {error:.2e}; solver bug")
+                    # EXCHANGE_PAIRS3: AB (0, 1), (2, 3), (4, 5); BC (0, 4), (1, 2), (3, 5); AC (0, 3), (1, 5), (2, 4)
+                    ab = 2.0 * (0.0 + x0 * x1 + x2 * x3 + x4 * x5)
+                    bc = 2.0 * (0.0 + x0 * x4 + x1 * x2 + x3 * x5)
+                    ac = 2.0 * (0.0 + x0 * x3 + x1 * x5 + x2 * x4)
+                    # region.frame_of_v, then margin_of_w
+                    u2, u3 = (2.0 * ab - bc - ac) / 3.0, (bc - ac) / _SQRT3
+                    margin = 1.0 - (abs((ab + bc + ac) / 3.0) + sqrt(u2 * u2 + u3 * u3))
+                    if not abs(margin) <= BOUNDARY_TOL:
+                        raise ConvergenceError(f"surface state missed the boundary by {abs(margin):.2e}; solver bug")
+                    yield (x0, x1, x2, x3, x4, x5), (ab, bc, ac), margin
+
+
+def write_boundary_csv(thetas, phis, v_rows, stream) -> None:
+    """CSV columns: v_AB,v_BC,v_AC,theta,phi,s1,s2 (12 significant digits)
+    of the mesh on the (theta, phi) grid, whose v-vectors `v_rows` yields in
+    boundary_rows' order.
+
+    Only `stream.write` is called, once for the header and once per block
+    of CSV_BLOCK_ROWS rows, so the text in memory stays bounded.  Each theta
+    and phi is formatted once; a row is a template that holds them as text,
+    and a block's v-values fill its templates with one `%`.
+    """
+    stream.write("v_AB,v_BC,v_AC,theta,phi,s1,s2\n")
+    tails = [f",{phi:.12g},{s}\n" for phi in phis for s in ("+,+", "+,-", "-,+", "-,-")]
+    templates = (
+        "%.12g,%.12g,%.12g," + theta + tail for theta in [f"{theta:.12g}" for theta in thetas] for tail in tails
+    )
+    v_rows = iter(v_rows)
+    for _ in range(0, len(thetas) * len(tails), CSV_BLOCK_ROWS):
+        block = tuple(itertools.chain.from_iterable(itertools.islice(v_rows, CSV_BLOCK_ROWS)))
+        stream.write("".join(itertools.islice(templates, len(block) // 3)) % block)

@@ -214,13 +214,6 @@ def named_state(name: str, **params) -> PureState:
     `chi` takes keyword parameters theta in [0, 2pi), phi in [0, pi/2] and
     signs s1, s2 in {+1, -1}; the other names take none.
     """
-    if name == "chi":
-        from . import observables  # deferred: observables imports this module
-
-        try:
-            return observables.chi_state(**params)
-        except TypeError as exc:  # a missing, unexpected or non-numeric parameter
-            raise ValidationError(f"chi takes theta, phi, s1 and s2: {exc}") from None
     return PureState(3, state3.named_amplitudes(name, **params))
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
 import statmon
+from statmon import state3
 from statmon import states as st
 from statmon.cli import build_parser, main
 from statmon.selftest import CHECKS
@@ -124,7 +125,7 @@ def test_surface_csv_matches_golden(capsys):
 
 def test_surface_stdout_and_out_file_hold_the_same_bytes(tmp_path, capsys, monkeypatch):
     # 5-row blocks split the 84-row mesh into 17 writes, the last one partial
-    monkeypatch.setattr(statmon.monogamy, "CSV_BLOCK_ROWS", 5)
+    monkeypatch.setattr(state3, "CSV_BLOCK_ROWS", 5)
     path = tmp_path / "mesh.csv"
     code, out, _ = run(capsys, "surface", "--theta-steps", "7", "--phi-steps", "3")
     assert code == 0
@@ -323,7 +324,7 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
         ["check", "--v", "0.6,0.6,-0.6"], ["check", "--v", "1,1,-1"], ["--help"], ["check", "--v", "2,0,0"],
         ["check"],
     ]
-    # state and v of a three-box state, and state of any stored one, run state3 only
+    # state and v of a three-box state, state of any stored one and surface run state3 only
     eq5 = json.loads(run(capsys, "state", "--name", "eq5")[1])
     payloads = {
         "paper3": eq5,
@@ -338,6 +339,8 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
         ["state", "--name", "chi", "--theta", "1.25", "--phi", "0.5", "--s1", "+", "--s2", "-"],
         ["state", "--name", "eq5"], ["state", "--file", str(files["four"])], ["v", "--state", "nontransitive_3_5"],
         ["v", "--state", str(files["paper3"])], ["v", "--state", str(files["lex"])],
+        ["surface", "--theta-steps", "4", "--phi-steps", "3"],
+        ["surface", "--theta-steps", "4", "--phi-steps", "3", "--out", str(tmp_path / "mesh.csv")],
     ]
     four_box_v = ["v", "--state", str(files["four"])]
     for argv in state3_only + [four_box_v]:
@@ -356,6 +359,24 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
     assert seen.pop(" ".join(four_box_v)) == dict(untouched, state3="run", numpy=True)
     assert seen.pop("extremal --objective AB:1,BC:-1") == dict(untouched, extremal="run", state3="run", numpy=True)
     assert seen == {"pool": []}
+
+
+def test_v_of_a_stored_state_past_three_boxes_builds_no_pure_state(tmp_path, capsys, monkeypatch):
+    # state3.read_state validates the amplitudes; the batched kernel reads them as they are
+    want = {}
+    for n in (4, 5):
+        payload = st.state_to_jsonable(st.random_pure_state(n, 11))
+        (tmp_path / f"{n}.json").write_text(json.dumps(payload))
+        want[n] = st.state_from_jsonable(payload)
+
+    def refuse(self, *args):
+        raise AssertionError("a PureState was built")
+
+    monkeypatch.setattr(st.PureState, "__init__", refuse)
+    for n, state in want.items():
+        code, out, _ = run(capsys, "v", "--state", str(tmp_path / f"{n}.json"))
+        assert code == 0
+        assert json.loads(out)["v"] == [float(f"{x:.12g}") for x in statmon.v_vector(state).tolist()]
 
 
 # The statmon modules that are still LazyLoader modules when the audit's pool

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from statmon import group_core as gc
 from statmon import monogamy as mg
 from statmon import observables as ob
+from statmon import state3
 from statmon import states as st
 from statmon.errors import CapacityError, ConvergenceError, ValidationError
 
@@ -224,10 +225,10 @@ def _csv_one_point_at_a_time(points):
     return "".join(rows)
 
 
-@pytest.mark.parametrize("block_rows", [mg.CSV_BLOCK_ROWS, 5])
+@pytest.mark.parametrize("block_rows", [state3.CSV_BLOCK_ROWS, 5])
 def test_mesh_csv_matches_per_point_formatting(monkeypatch, block_rows):
     # 84 rows: with 5-row blocks the last block is partial
-    monkeypatch.setattr(mg, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(state3, "CSV_BLOCK_ROWS", block_rows)
     mesh = mg.surface_mesh(7, 3)
     assert mg.mesh_csv_text(mesh) == _csv_one_point_at_a_time(mesh)
 
@@ -242,10 +243,10 @@ class _WriteOnly:
         self.calls.append(text)
 
 
-@pytest.mark.parametrize("block_rows", [mg.CSV_BLOCK_ROWS, 1, 5, 12])
+@pytest.mark.parametrize("block_rows", [state3.CSV_BLOCK_ROWS, 1, 5, 12])
 def test_mesh_csv_writes_the_header_then_one_call_per_block(monkeypatch, block_rows):
     # 84 rows; 12-row blocks are one theta each (3 phis x 4 sign pairs)
-    monkeypatch.setattr(mg, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(state3, "CSV_BLOCK_ROWS", block_rows)
     mesh = mg.surface_mesh(7, 3)
     stream = _WriteOnly()
     mg.write_mesh_csv(mesh, stream)
@@ -291,14 +292,11 @@ def test_mesh_indexing_matches_list_semantics():
 
 @pytest.mark.parametrize("corrupt", [1.0 + 1e-6, np.nan])
 def test_corrupted_mesh_amplitudes_fail_the_norm_check(monkeypatch, corrupt):
-    real = ob.chi_amplitudes
-
-    def corrupted(thetas, phis):
-        amps = real(thetas, phis)
-        amps[0, -1, 0, 1] *= corrupt
-        return amps
-
-    monkeypatch.setattr(ob, "chi_amplitudes", corrupted)
+    # psi0 for s2 = -1 scaled: the rows at theta = 0, phi = pi/2 and s2 = -1
+    # are that psi0 (to 6e-17), and every row with s2 = -1 and phi > 0 is off
+    syms, psi0s, signed_w3_psi0s = state3.CHI_BASES
+    psi0s = (psi0s[0], tuple(corrupt * p for p in psi0s[1]))
+    monkeypatch.setattr(state3, "CHI_BASES", (syms, psi0s, signed_w3_psi0s))
     with pytest.raises(ConvergenceError, match="unit norm"):
         mg.surface_mesh(3, 2)
     with pytest.raises(ConvergenceError, match="unit norm"):

@@ -5,7 +5,7 @@ import pytest
 
 from statmon import group_core as gc
 from statmon import observables as ob
-from statmon import selftest
+from statmon import selftest, state3
 from statmon import states as st
 from statmon.eigh import symmetric_spectrum
 from statmon.errors import ContractError, ValidationError
@@ -156,6 +156,20 @@ def test_angle_validation():
         ob.chi_state(0.1, 0.1, 0, +1)
 
 
+@pytest.mark.parametrize("sign", [True, False, np.True_, np.bool_(False), np.array(True)])
+def test_a_boolean_is_not_a_sign(sign):
+    # True == 1, but scenario files refuse `true` as a sign, and so does chi
+    with pytest.raises(ValidationError, match="sign must be"):
+        state3.parse_sign(sign)
+    with pytest.raises(ValidationError, match="sign must be"):
+        ob.chi_state(0.5, 0.5, sign, -1)
+
+
+def test_numpy_integer_and_text_signs_stay_valid():
+    assert [state3.parse_sign(s) for s in (np.int64(1), np.int32(-1), 1, -1, 1.0, "+", "-")] == [1, -1, 1, -1, 1, 1, -1]
+    assert np.array_equal(ob.chi_state(0.5, 0.5, np.int64(1), -1).amplitudes, ob.chi_state(0.5, 0.5, 1, -1).amplitudes)
+
+
 def test_bunching_probability():
     assert ob.bunching_probability(1.0) == 1.0
     assert abs(ob.bunching_probability(0.6) - 0.8) < 1e-15
@@ -169,11 +183,12 @@ def test_closed_form_boundary_vector_is_w_theta_eigenvector():
     # theta up to the last double below 2pi, where the half-angle form must
     # still give an eigenvector of W_theta and not of W_{theta - 2pi}
     thetas = np.append(np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False), np.nextafter(2.0 * np.pi, 0.0))
-    amps = ob.chi_amplitudes(thetas, [np.pi / 2.0])  # phi = pi/2 leaves psi_theta alone
+    # phi = pi/2 leaves psi_theta alone; a theta's rows run (s1, s2) = (+, +), (+, -), ...
+    amps = [row[0] for row in state3.boundary_rows(thetas.tolist(), [np.pi / 2.0])]
     for i, theta in enumerate(thetas):
         Wt = ob.w_theta(theta)
         for k, s2 in enumerate((1, -1)):
-            psi = amps[i, 0, 0, k]
+            psi = np.array(amps[4 * i + k])
             assert np.linalg.norm(Wt @ psi - s2 * psi) <= 1e-12
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 

@@ -76,6 +76,17 @@ def test_named_state_unknown():
         st.named_state("chi", theta=0.1, phi=0.1, s1=+1)  # missing s2
 
 
+def test_named_chi_names_missing_and_unexpected_parameters():
+    with pytest.raises(ValidationError) as missing:
+        st.named_state("chi", theta=1.0)
+    assert str(missing.value) == "chi needs theta, phi, s1 and s2; missing phi, s1, s2"
+    with pytest.raises(ValidationError) as unexpected:
+        st.named_state("chi", theta=1.0, phi=0.5, s1=1, s2=-1, psi=2, rho=3)
+    assert str(unexpected.value) == "chi takes only theta, phi, s1 and s2; unexpected psi, rho"
+    with pytest.raises(ValidationError, match="theta must be a number, got None"):
+        st.named_state("chi", theta=None, phi=0.5, s1=1, s2=-1)
+
+
 def test_apply_eigenstates_and_involution():
     eq5 = st.named_state("eq5")
     eq6 = st.named_state("eq6")
