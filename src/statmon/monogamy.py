@@ -16,6 +16,7 @@ rows and CSV come from state3, and the mesh here holds them as arrays.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,8 +42,8 @@ AUDIT_SHARD = 16384
 AUDIT_BLOCK_ROWS = 4096  # shard rows per kernel pass: their 384 KiB planar copy stays in L2
 AUDIT_MAX_DRAWS = 2**30  # 65536 shards; at about 0.3 us per draw per core, minutes of work
 _SIGNS = (1, -1)  # s1/s2 values in state3.boundary_rows' order
-# one state3.boundary_rows row
-_ROW = np.dtype([("amplitudes", np.float64, 6), ("v", np.float64, 3), ("margin", np.float64)])
+# one state3.boundary_rows row, its margin left out
+_ROW = np.dtype([("amplitudes", np.float64, 6), ("v", np.float64, 3)])
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ class SurfaceMesh(Sequence):
         self.thetas = np.array(thetas, dtype=np.float64)
         self.phis = np.array(phis, dtype=np.float64)
         count = 4 * self.thetas.size * self.phis.size
-        rows = np.fromiter(state3.boundary_rows(self.thetas.tolist(), self.phis.tolist()), _ROW, count)
+        rows = state3.boundary_rows(self.thetas.tolist(), self.phis.tolist())
+        rows = np.fromiter(((amplitudes, v) for amplitudes, v, _ in rows), _ROW, count)
         for arr in (self.thetas, self.phis, rows):
             arr.setflags(write=False)
         self.amplitudes, self.v = rows["amplitudes"], rows["v"]  # read-only views of the rows
@@ -115,8 +117,14 @@ def surface_mesh(theta_steps: int, phi_steps: int) -> SurfaceMesh:
 
 def write_mesh_csv(points: SurfaceMesh, stream) -> None:
     """The mesh as state3.write_boundary_csv writes it: columns
-    v_AB,v_BC,v_AC,theta,phi,s1,s2 at 12 significant digits, in blocks."""
-    state3.write_boundary_csv(points.thetas.tolist(), points.phis.tolist(), points.v.tolist(), stream)
+    v_AB,v_BC,v_AC,theta,phi,s1,s2 at 12 significant digits, in blocks.
+    The v-rows become Python floats one block at a time, so memory beyond
+    the mesh's arrays stays bounded."""
+    block = state3.CSV_BLOCK_ROWS
+    v_rows = itertools.chain.from_iterable(
+        points.v[start : start + block].tolist() for start in range(0, len(points), block)
+    )
+    state3.write_boundary_csv(points.thetas.tolist(), points.phis.tolist(), v_rows, stream)
 
 
 def mesh_csv_text(points) -> str:

@@ -144,16 +144,10 @@ def named_amplitudes(name: str, **params) -> tuple[complex, ...]:
 def chi_amplitudes(theta: float, phi: float, s1, s2) -> tuple[complex, ...]:
     """Paper3-order amplitudes of cos(phi)|s1> + sin(phi)|psi_theta^(s2)>,
     with psi_theta = cos(theta/2) psi0 + sin(theta/2) s2 W3 psi0: the
-    amplitudes of boundary_rows' row, by its arithmetic."""
-    i1, i2 = sign_index(s1), sign_index(s2)
-    half = validate_angle(theta, 2.0 * math.pi, "theta") / 2.0
-    phi = validate_angle(phi, math.pi / 2.0, "phi", inclusive=True)
-    cos_half, sin_half, cos_phi, sin_phi = math.cos(half), math.sin(half), math.cos(phi), math.sin(phi)
-    sym, psi0, signed_w3_psi0 = CHI_BASES[0][i1], CHI_BASES[1][i2], CHI_BASES[2][i2]
-    return tuple(
-        complex(cos_phi * a + sin_phi * (cos_half * p + sin_half * w))
-        for a, p, w in zip(sym, psi0, signed_w3_psi0)
-    )
+    (s1, s2) row of boundary_rows on the one-point mesh (theta, phi)."""
+    row = 2 * sign_index(s1) + sign_index(s2)
+    amplitudes, _, _ = list(boundary_rows([theta], [phi]))[row]
+    return tuple(map(complex, amplitudes))
 
 
 def _amplitude(re, im) -> complex:
@@ -238,9 +232,10 @@ def mesh_axes(theta_steps, phi_steps) -> tuple[list[float], list[float]]:
 def boundary_rows(thetas, phis):
     """Yield (amplitudes, v, margin) of the boundary state of each mesh row,
     rows in (theta, phi, s1, s2) order with the signs +1 then -1: the real
-    paper3 amplitudes of chi_amplitudes, v by v_of_amplitudes' sums and
-    region.check_sqrt's margin, each by the same arithmetic, written out on
-    plain floats.
+    paper3 amplitudes of cos(phi)|s1> + sin(phi)|psi_theta^(s2)>, v by
+    v_of_amplitudes' sums and region.check_sqrt's margin, each by the same
+    arithmetic, written out on plain floats.  chi_amplitudes reads its
+    amplitudes here.
 
     Every row is checked as it is made: amplitudes whose norm misses 1 by
     more than NORM_TOL (NaN included), or a margin beyond BOUNDARY_TOL,

@@ -261,6 +261,43 @@ def test_mesh_csv_writes_the_header_then_one_call_per_block(monkeypatch, block_r
     assert "".join(stream.calls) == want
 
 
+class _BlockRecorder:
+    """A mesh whose `v` records the rows each slice of it takes."""
+
+    def __init__(self, mesh):
+        self.thetas, self.phis, self._v, self.taken = mesh.thetas, mesh.phis, mesh.v, []
+        self.v = self
+
+    def __len__(self):
+        return len(self._v)
+
+    def __getitem__(self, index):
+        rows = self._v[index]
+        self.taken.append(len(rows))
+        return rows
+
+
+def test_mesh_csv_converts_v_one_block_at_a_time(monkeypatch):
+    # 84 rows in 5-row blocks: no conversion may hold more than one block
+    monkeypatch.setattr(state3, "CSV_BLOCK_ROWS", 5)
+    mesh = mg.surface_mesh(7, 3)
+    recorder = _BlockRecorder(mesh)
+    stream = _WriteOnly()
+    mg.write_mesh_csv(recorder, stream)
+    assert recorder.taken == [5] * 16 + [4]
+    assert "".join(stream.calls) == mg.mesh_csv_text(mesh)
+
+
+def test_chi_states_are_the_mesh_rows_bit_for_bit():
+    # chi_state and surface_state read one boundary_rows row; the mesh reads them all
+    mesh = mg.surface_mesh(5, 4)
+    for row, point in enumerate(mesh):
+        amps = ob.chi_state(point.theta, point.phi, point.s1, point.s2).amplitudes
+        assert amps.imag.tobytes() == bytes(48)
+        assert amps.real.tobytes() == mesh.amplitudes[row].tobytes()
+        assert mg.surface_state(point.theta, point.phi, point.s1, point.s2).v.tobytes() == mesh.v[row].tobytes()
+
+
 def _same_point(p, q):
     return (
         (p.theta, p.phi, p.s1, p.s2) == (q.theta, q.phi, q.s1, q.s2)
