@@ -29,17 +29,18 @@ _EXPORTS = {
         "canonical_pairs", "cyclic_operator", "exchange_operator", "relabel",
     ),
     "monogamy": (
-        "AuditReport", "RegionCheck", "SurfaceMesh", "SurfacePoint", "check_sqrt", "check_theta",
-        "region_audit", "surface_mesh", "surface_state", "theta_family_margin", "write_mesh_csv",
+        "AuditReport", "SurfaceMesh", "SurfacePoint", "region_audit", "surface_mesh", "surface_state",
+        "write_mesh_csv",
     ),
     "npartite": ("ScenarioBound", "ScenarioGraph", "scenario_report", "spectral_bound", "triangle_bounds"),
     "observables": (
         "WFrame", "antibunching_probability", "bunching_probability", "chi_state", "expectation",
         "v_vector", "w_frame", "w_theta",
     ),
+    "region": ("NAMED_STATES", "RegionCheck", "check_sqrt", "check_theta", "theta_family_margin"),
     "states": (
-        "MixedState", "NAMED_STATES", "PureState", "apply", "equal_up_to_global_phase", "named_state",
-        "normalize", "random_pure_state", "state_from_jsonable", "state_to_jsonable",
+        "MixedState", "PureState", "apply", "equal_up_to_global_phase", "named_state", "normalize",
+        "random_pure_state", "state_from_jsonable", "state_to_jsonable",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

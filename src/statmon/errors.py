@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the package, and the integer-argument
-checks that raise it."""
+"""Exception hierarchy shared across the package, and the argument checks that raise it."""
 
+import contextlib
 import operator
 
 
@@ -47,3 +47,19 @@ def as_seed(value) -> int:
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     return seed
+
+
+def holds_boolean(value) -> bool:
+    """Whether `value` is a boolean (bool, or numpy's by dtype kind, so numpy need
+    not be imported) or a list or tuple holding one: float() reads true as 1."""
+    if isinstance(value, (list, tuple)):
+        return any(map(holds_boolean, value))
+    return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+
+
+def as_real(value, what: str) -> float:
+    """`value` as a float; booleans and what float() refuses are a ValidationError."""
+    if not holds_boolean(value):
+        with contextlib.suppress(TypeError, ValueError):
+            return float(value)
+    raise ValidationError(f"{what} must be a number, got {value!r}")

@@ -16,6 +16,7 @@ import numpy as np
 from . import group_core, observables, region, states
 from .eigh import symmetric_spectrum
 from .errors import CapacityError, ConvergenceError, InfeasibleError, ValidationError, as_count, as_seed
+from .errors import as_real, holds_boolean
 
 RESULT_TOL = 1e-9
 # Bounds every eigenvalue and every c.v of an objective, so each stays finite.
@@ -36,6 +37,8 @@ class Objective:
 
     def __post_init__(self):
         n = group_core.validate_box_count(self.n)
+        if holds_boolean(self.weights):
+            raise ValidationError(f"objective weights must be numbers, got {self.weights!r}")
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         pairs = group_core.canonical_pairs(n)
         if w.shape[0] != len(pairs):
@@ -64,10 +67,7 @@ class Objective:
             pair = key if isinstance(key, group_core.Pair) else group_core.Pair.parse(str(key))
             if pair in lookup:
                 raise ValidationError(f"duplicate objective pair {pair}")
-            try:
-                lookup[pair] = float(value)
-            except (TypeError, ValueError):
-                raise ValidationError(f"objective weight for {pair} must be a number, got {value!r}") from None
+            lookup[pair] = as_real(value, f"objective weight for {pair}")
         unknown = set(lookup) - set(pairs)
         if unknown:
             raise ValidationError(f"pairs {sorted(map(str, unknown))} invalid for n = {n}")
@@ -90,7 +90,7 @@ class Constraint:
     value: int
 
     def __post_init__(self):
-        if isinstance(self.value, (bool, np.bool_)) or self.value not in (+1, -1):
+        if holds_boolean(self.value) or self.value not in (+1, -1):
             raise ValidationError(
                 f"constraint on {self.pair} must be exactly +1 or -1, got {self.value!r}; "
                 "intermediate targets are not eigenspace conditions"
@@ -208,8 +208,8 @@ def symmetric_ray_extreme(direction) -> float:
     if d.shape != (3,):
         raise ValidationError(f"direction must have 3 components, got {d.shape}")
     scale = np.abs(d).max()
-    if not np.isfinite(scale) or scale == 0.0:
-        raise ValidationError("direction must be a finite nonzero vector")
+    if holds_boolean(direction) or not np.isfinite(scale) or scale == 0.0:
+        raise ValidationError(f"direction must be a finite nonzero vector of numbers, got {direction!r}")
     unit = d / scale
     unit_t = 1.0 / region.cone_norm(*region.frame_of_v(*unit.tolist()))
     t = unit_t / float(scale)  # Python floats: an overflow gives inf, not a warning

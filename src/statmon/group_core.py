@@ -10,14 +10,13 @@ which keeps every group identity exact in integer arithmetic.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
-from .state3 import MAX_BOXES, PAPER3_WORDS, validate_box_count
+from .errors import ConvergenceError, ValidationError, holds_boolean
+from .state3 import MAX_BOXES, PAIRS3, PAPER3_WORDS, factorial_dim, validate_box_count
 
 _LETTERS = "ABCDEFG"
 
@@ -46,7 +45,7 @@ class Pair:
     y: int
 
     def __post_init__(self):
-        if not (0 <= self.x < self.y):
+        if holds_boolean((self.x, self.y)) or not (0 <= self.x < self.y):
             raise ValidationError(f"pair requires 0 <= x < y, got ({self.x}, {self.y})")
 
     @classmethod
@@ -72,13 +71,11 @@ class Pair:
 def canonical_pairs(n: int) -> tuple[Pair, ...]:
     """Pair order used for weight vectors and v-vectors.
 
-    For n = 3 the order is (AB, BC, AC), matching the conventional vector
-    v = (v_AB, v_BC, v_AC); other n use lexicographic order.
+    For n = 3 the order is state3.PAIRS3, (AB, BC, AC), matching the
+    conventional vector v = (v_AB, v_BC, v_AC); other n use lexicographic order.
     """
     validate_box_count(n)
-    if n == 3:
-        return (Pair(0, 1), Pair(1, 2), Pair(0, 2))
-    return tuple(Pair(a, b) for a, b in itertools.combinations(range(n), 2))
+    return tuple(Pair(a, b) for a, b in (PAIRS3 if n == 3 else itertools.combinations(range(n), 2)))
 
 
 def validate_word(word, n: int) -> Word:
@@ -327,7 +324,3 @@ def cyclic_operator() -> PermutationOperator:
     identity, and acts on the reference word as ABC -> BCA.
     """
     return exchange_operator(3, Pair(0, 1)).compose(exchange_operator(3, Pair(1, 2)))
-
-
-def factorial_dim(n: int) -> int:
-    return math.factorial(validate_box_count(n))

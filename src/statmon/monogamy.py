@@ -20,15 +20,14 @@ import itertools
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import group_core, state3, states
+from . import state3
 from .errors import CapacityError, ValidationError, as_count, as_seed
 from .region import (
     MEMBERSHIP_TOL,
-    THETA_GRID_DEFAULT,
-    THETA_GRID_MAX,
     RegionCheck,
     check_sqrt,
     check_theta,
@@ -37,6 +36,9 @@ from .region import (
     theta_family_margin,
     theta_margin_of_v,
 )
+
+if TYPE_CHECKING:
+    from .states import PureState
 
 AUDIT_SHARD = 16384
 AUDIT_BLOCK_ROWS = 4096  # shard rows per kernel pass: their 384 KiB planar copy stays in L2
@@ -54,7 +56,7 @@ class SurfacePoint:
     phi: float
     s1: int
     s2: int
-    state: states.PureState
+    state: PureState
     v: np.ndarray
 
 
@@ -65,7 +67,7 @@ class SurfaceMesh(Sequence):
     Indexing and iteration build a row's SurfacePoint, with its validated
     PureState, only when asked; slices give lists, as for a list of points.
     Every row is checked on construction, by state3.boundary_rows:
-    amplitudes finite and of unit norm to states.NORM_TOL, and v on the
+    amplitudes finite and of unit norm to state3.NORM_TOL, and v on the
     region surface to within 1e-9.
     """
 
@@ -86,13 +88,14 @@ class SurfaceMesh(Sequence):
         rows = range(len(self))[index]  # list semantics: numpy ints, negatives, IndexError
         if isinstance(rows, range):
             return [self[i] for i in rows]
+        from .states import PureState  # here, not at the top: the audit needs no states
         t, p, i1, i2 = np.unravel_index(rows, (len(self.thetas), len(self.phis), 2, 2))
         return SurfacePoint(
             float(self.thetas[t]),
             float(self.phis[p]),
             _SIGNS[i1],
             _SIGNS[i2],
-            states.PureState(3, self.amplitudes[rows]),
+            PureState(3, self.amplitudes[rows]),
             self.v[rows],
         )
 
@@ -163,14 +166,13 @@ def _theta_margins(V: np.ndarray, grid: int) -> np.ndarray:
 def _v_of_parts(parts: np.ndarray) -> np.ndarray:
     """v-vectors, shape (3, count), of the three-box draws whose real and
     imaginary parts are `parts`, shape (2, count, 6), as
-    states.gaussian_parts gives them.
+    state3.gaussian_parts gives them.
 
     v is taken on the raw draw z as <z|Pi_XY|z> / <z|z>, so no normalized
     copy is made. Rows are worked through in blocks of AUDIT_BLOCK_ROWS by
     elementwise operations only, so a row gets the same bits alone as in
     any batch.
     """
-    table = group_core.exchange_table(3)
     count = parts.shape[1]
     v = np.empty((3, count))
     # one contiguous row per part and word, in one buffer for every block: a
@@ -183,9 +185,9 @@ def _v_of_parts(parts: np.ndarray) -> np.ndarray:
         # per pair and part, the sum of the swapped words' products: the two
         # parts' sums add to half of <z|Pi_XY|z>
         sums = np.empty((3, 2, rows))
-        for pair_sum, pair_lo, pair_hi in zip(sums, table.lo, table.hi):
-            np.multiply(cols[:, pair_lo[0]], cols[:, pair_hi[0]], out=pair_sum)
-            for k, m in zip(pair_lo[1:], pair_hi[1:]):
+        for pair_sum, ((k, m), *swapped) in zip(sums, state3.EXCHANGE_PAIRS3):
+            np.multiply(cols[:, k], cols[:, m], out=pair_sum)
+            for k, m in swapped:
                 pair_sum += cols[:, k] * cols[:, m]
         np.square(cols, out=cols)
         cols[0] += cols[1]
@@ -202,9 +204,9 @@ def _shard_v(seed: int, mixed: bool, index: int, count: int) -> np.ndarray:
     """v-vectors, shape (3, count), of one shard's random pure states or,
     when `mixed`, of its two-component mixtures."""
     rng = np.random.default_rng([seed, int(mixed), index])
-    v = _v_of_parts(states.gaussian_parts(3, count, rng))
+    v = _v_of_parts(state3.gaussian_parts(3, count, rng))
     if mixed:
-        b = _v_of_parts(states.gaussian_parts(3, count, rng))
+        b = _v_of_parts(state3.gaussian_parts(3, count, rng))
         weight = rng.uniform(0.0, 1.0, size=count)
         # v is linear in the density matrix: a two-component mixture's is
         # the weighted average of the components'
@@ -249,13 +251,6 @@ def region_audit(samples: int, seed: int, mixed_samples: int = 0) -> AuditReport
         for index, start in enumerate(range(0, total, AUDIT_SHARD))
     ]
     import concurrent.futures  # here, not at the top: it imports logging, which only audits need
-
-    # The pool threads reach group_core and states, which the CLI binds
-    # lazily, and LazyLoader is not thread-safe before Python 3.12: load them
-    # here (an attribute access runs a lazy module), and build the table once
-    # rather than once per thread.
-    group_core.exchange_table(3)
-    states.gaussian_parts
     with concurrent.futures.ThreadPoolExecutor(max_workers=default_thread_count()) as pool:
         results = list(pool.map(lambda job: _shard(seed, *job), jobs))
 

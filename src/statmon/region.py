@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError, ValidationError, as_count
+from .errors import CapacityError, ValidationError, as_count, as_real
 
 MEMBERSHIP_TOL = 1e-9
 THETA_GRID_DEFAULT = 720
@@ -50,8 +50,8 @@ def _validate_v(v) -> tuple[float, float, float]:
     if shape is not None and len(shape) != 1:  # iterating it would give rows, not entries
         raise ValidationError(f"expected 3 pair expectations, got shape {shape}")
     try:
-        values = tuple(map(float, v))
-    except (TypeError, ValueError):
+        values = tuple(as_real(x, "pair expectation") for x in v)
+    except (TypeError, ValueError):  # a ValidationError is a ValueError
         raise ValidationError(f"expected 3 pair expectations as numbers, got {v!r}") from None
     if len(values) != 3:
         raise ValidationError(f"expected 3 pair expectations, got shape ({len(values)},)")
@@ -89,7 +89,7 @@ def check_theta(v, theta: float) -> float:
     """Left-hand side |v_AB+v_BC+v_AC| + |(2v_AB-v_BC-v_AC)cos(theta)
     + sqrt(3)(v_BC-v_AC)sin(theta)|; membership requires <= 3."""
     ab, bc, ac = _validate_v(v)
-    theta = float(theta)
+    theta = as_real(theta, "theta")
     if not math.isfinite(theta):  # the form is 2pi-periodic: any finite angle is valid
         raise ValidationError(f"theta must be finite, got {theta}")
     return abs(ab + bc + ac) + abs((2.0 * ab - bc - ac) * math.cos(theta) + _SQRT3 * (bc - ac) * math.sin(theta))

@@ -1,21 +1,23 @@
-"""Single states on plain floats: the paper3 basis, the named three-box
-catalog, the chi boundary family in closed form, the boundary mesh and its
-CSV, the state-JSON reader and the v-vector of one three-box state.
+"""Single states on plain floats: the paper3 basis and n = 3 pair order, the
+named three-box catalog, the chi boundary family in closed form, the
+boundary mesh and its CSV, the state-JSON reader and amplitude check, the
+Gaussian draw and the v-vector of one three-box state.
 
 Everything here uses `math` only, so `statmon state`, `statmon v` of a
 three-box state and `statmon surface` answer without importing numpy.  The
 numpy layers read these definitions instead of keeping copies: group_core
-its paper3 order and box-count check, states its catalog and reader,
-observables its sign and angle checks and its chi state, monogamy its mesh
-rows and CSV writer.
+its paper3 order, pair order, box-count check and n!, states its catalog,
+reader, amplitude check and draw, observables its sign and angle checks and
+its chi state, monogamy its mesh rows, CSV writer, draw and exchange pairs.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
-from .errors import CapacityError, ConvergenceError, ValidationError, as_count
+from .errors import CapacityError, ConvergenceError, ValidationError, as_count, as_real, holds_boolean
 from .region import NAMED_STATES
 
 MAX_BOXES = 7  # 7! = 5040 basis words; hard desk-scale cap
@@ -45,8 +47,9 @@ def _exchange_pairs(x: int, y: int) -> tuple[tuple[int, int], ...]:
 
 
 # The canonical n = 3 pairs, v = (v_AB, v_BC, v_AC), and their swapped words
-PAIR_LABELS3 = ("AB", "BC", "AC")
-EXCHANGE_PAIRS3 = tuple(_exchange_pairs(x, y) for x, y in ((0, 1), (1, 2), (0, 2)))
+PAIRS3 = ((0, 1), (1, 2), (0, 2))
+PAIR_LABELS3 = tuple("ABC"[x] + "ABC"[y] for x, y in PAIRS3)
+EXCHANGE_PAIRS3 = tuple(_exchange_pairs(x, y) for x, y in PAIRS3)
 
 _R6 = 1.0 / math.sqrt(6.0)
 _R12 = 1.0 / math.sqrt(12.0)
@@ -97,11 +100,13 @@ def validate_box_count(n: int) -> int:
     return n
 
 
+def factorial_dim(n: int) -> int:
+    return math.factorial(validate_box_count(n))
+
+
 def parse_sign(value) -> int:
-    """+1 or -1 from a number equal to it (Python or numpy) or "+" / "-";
-    booleans, which compare equal to 1, are refused, numpy's by their dtype."""
-    boolean = isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
-    if not boolean and value in (+1, -1):
+    """+1 or -1 from a number equal to it (Python or numpy, not a boolean) or "+" / "-"."""
+    if not holds_boolean(value) and value in (+1, -1):
         return int(value)
     if value in ("+", "-"):
         return 1 if value == "+" else -1
@@ -114,10 +119,7 @@ def sign_index(s) -> int:
 
 
 def validate_angle(theta: float, upper: float, name: str, inclusive: bool = False) -> float:
-    try:
-        theta = float(theta)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {theta!r}") from None
+    theta = as_real(theta, name)
     top = upper + 1e-12 if inclusive else upper
     if not math.isfinite(theta) or not (0.0 <= theta < top):
         bracket = "]" if inclusive else ")"
@@ -150,16 +152,24 @@ def chi_amplitudes(theta: float, phi: float, s1, s2) -> tuple[complex, ...]:
     return tuple(map(complex, amplitudes))
 
 
-def _amplitude(re, im) -> complex:
-    if isinstance(re, bool) or isinstance(im, bool):  # complex() would read true as 1
-        raise TypeError(f"amplitude parts must be numbers, got {[re, im]}")
-    return complex(re, im)
+def check_amplitudes(n: int, amps) -> None:
+    """Refuse amplitudes (complex numbers) of n boxes unless n! finite entries of
+    norm within NORM_TOL of 1: the one check of read_state and states.PureState."""
+    dim = factorial_dim(n)
+    if len(amps) != dim:
+        raise ValidationError(f"expected {dim} amplitudes for n = {n}, got {len(amps)}")
+    if not all(map(cmath.isfinite, amps)):
+        raise ValidationError("amplitudes contain non-finite entries")
+    # summed squares, not math.hypot: an entry near 1e200 reads as norm inf,
+    # where hypot would give 1e200
+    norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
 
 
 def read_state(obj) -> tuple[int, list[complex]]:
     """n and canonical-order amplitudes of a state-JSON object
-    {"n": int, "ordering": "paper3"|"lex", "amplitudes": [[re, im], ...]},
-    refused as states.PureState refuses them: finite, unit norm to NORM_TOL."""
+    {"n": int, "ordering": "paper3"|"lex", "amplitudes": [[re, im], ...]}, refused by check_amplitudes."""
     try:
         n = validate_box_count(obj["n"])
         kind = obj["ordering"]
@@ -169,21 +179,15 @@ def read_state(obj) -> tuple[int, list[complex]]:
     if kind not in ("paper3", "lex"):
         raise ValidationError(f"unknown ordering {kind!r}")
     try:
-        amps = [_amplitude(re, im) for re, im in raw]
+        raw = list(raw)
+        if holds_boolean(raw):  # complex() would read true as 1
+            raise TypeError(f"amplitude parts must be numbers, got {next(p for p in raw if holds_boolean(p))}")
+        amps = [complex(re, im) for re, im in raw]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed amplitude list: {exc}") from None
     if kind == "paper3" and n != 3:
         raise ValidationError("ordering 'paper3' is defined only for n = 3")
-    dim = math.factorial(n)
-    if len(amps) != dim:
-        raise ValidationError(f"expected {dim} amplitudes for n = {n}, got {len(amps)}")
-    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
-        raise ValidationError("amplitudes contain non-finite entries")
-    # summed squares, as numpy's norm takes them: an entry near 1e200 reads as
-    # norm inf, where math.hypot would give 1e200
-    norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
+    check_amplitudes(n, amps)
     if n == 3 and kind == "lex":
         amps = [amps[k] for k in _FROM_LEX3]
     return n, amps
@@ -197,6 +201,12 @@ def state_jsonable(n: int, amplitudes) -> dict:
         "ordering": "paper3" if n == 3 else "lex",
         "amplitudes": [[float(a.real), float(a.imag)] for a in amplitudes],
     }
+
+
+def gaussian_parts(n: int, count: int, rng):
+    """(2, count, n!) iid standard normals from the numpy Generator `rng`: every
+    real part, then every imaginary part, of `count` complex Gaussian rows."""
+    return rng.standard_normal((2, count, factorial_dim(n)))
 
 
 def v_of_amplitudes(amps) -> tuple[float, float, float]:

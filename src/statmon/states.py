@@ -7,9 +7,8 @@ import math
 import numpy as np
 
 from . import eigh, group_core, state3
-from .errors import CapacityError, ValidationError, as_seed
-from .region import NAMED_STATES  # exported as statmon.NAMED_STATES
-from .state3 import NORM_TOL
+from .errors import CapacityError, ValidationError, as_seed, holds_boolean
+from .state3 import NAMED_STATES, gaussian_parts  # NAMED_STATES: the names named_state takes
 
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -32,15 +31,7 @@ class PureState:
     def __init__(self, n: int, amplitudes):
         n = group_core.validate_box_count(n)
         amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
-        dim = group_core.factorial_dim(n)
-        if amps.shape[0] != dim:
-            raise ValidationError(f"expected {dim} amplitudes for n = {n}, got {amps.shape[0]}")
-        if not np.isfinite(amps).all():
-            raise ValidationError("amplitudes contain non-finite entries")
-        with np.errstate(over="ignore"):  # entries far above 1 give norm inf, refused below
-            norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm {float(norm)!r} differs from 1 by more than {NORM_TOL}")
+        state3.check_amplitudes(n, amps.tolist())
         self.n = n
         self.amplitudes = amps
         self.amplitudes.setflags(write=False)
@@ -106,12 +97,6 @@ def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-9) -> b
     if a.n != b.n:
         return False
     return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
-
-
-def gaussian_parts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(2, count, n!) iid standard normals: every real part, then every
-    imaginary part, of `count` complex Gaussian rows in one draw from `rng`."""
-    return rng.standard_normal((2, count, group_core.factorial_dim(n)))
 
 
 def gaussian_amplitudes(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,8 +175,8 @@ class MixedState:
         states = list(states)
         if w.ndim != 1 or len(states) != w.shape[0] or w.shape[0] == 0:
             raise ValidationError("weights and states must be equally many and nonempty")
-        if not np.isfinite(w).all():
-            raise ValidationError(f"mixture weights must be finite, got {w.tolist()}")
+        if holds_boolean(weights) or not np.isfinite(w).all():
+            raise ValidationError(f"mixture weights must be finite numbers, got {weights!r}")
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError("mixture weights must be nonnegative and sum to 1")
         n = states[0].n

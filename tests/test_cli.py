@@ -408,14 +408,37 @@ def test_the_audit_pool_threads_load_no_layer():
     seen = _fresh_python(_POOL_PROBE)
     assert seen["code"] == 0
     [at_start] = seen["at_start"]
-    assert not {"statmon.group_core", "statmon.monogamy", "statmon.states"} & set(at_start)
+    assert not {"statmon.monogamy", "statmon.state3"} & set(at_start)
     assert seen["after"] == at_start
+
+
+def test_the_audit_runs_no_layer_past_monogamy_and_state3():
+    # the audit reads its draw and exchange pairs from state3
+    seen = _fresh_python(_POOL_PROBE)
+    assert {"statmon.eigh", "statmon.group_core", "statmon.states"} <= set(seen["after"])
 
 
 def test_importing_the_package_runs_no_layer():
     code = "import json, sys, statmon; print(json.dumps(sorted(m for m in sys.modules if 'statmon' in m)))"
     seen = _fresh_python(code)
     assert seen == ["statmon"]
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import statmon.state3", ["statmon", "statmon.errors", "statmon.region", "statmon.state3"]),
+        # the membership names resolve to region, not to monogamy
+        (
+            "import statmon; statmon.check_sqrt([0.6, 0.6, -0.6]); statmon.RegionCheck; statmon.NAMED_STATES",
+            ["statmon", "statmon.errors", "statmon.region"],
+        ),
+    ],
+    ids=["state3", "check_sqrt"],
+)
+def test_numpy_free_layers_import_no_numpy(code, loaded):
+    listed = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'statmon'))"
+    assert _fresh_python(f"{code}; import json, sys; print(json.dumps({listed}))") == loaded
 
 
 STATMON_ALL = [
@@ -428,12 +451,12 @@ STATMON_ALL = [
     "constraint_projector", "cyclic_operator", "eigh", "equal_up_to_global_phase", "errors",
     "exchange_operator", "expectation", "extremal", "group_core", "joint_eigenspace_basis",
     "max_expectation", "monogamy", "named_state", "normalize", "npartite", "observables",
-    "random_pure_state", "random_search_max", "region_audit", "relabel", "scenario_report",
+    "random_pure_state", "random_search_max", "region", "region_audit", "relabel", "scenario_report",
     "spectral_bound", "state_from_jsonable", "state_to_jsonable", "states", "surface_mesh",
     "surface_state", "symmetric_ray_extreme", "symmetric_spectrum", "theta_family_margin",
     "triangle_bounds", "v_vector", "w_frame", "w_theta", "write_mesh_csv",
 ]
-SUBMODULES = ("eigh", "errors", "extremal", "group_core", "monogamy", "npartite", "observables", "states")
+SUBMODULES = ("eigh", "errors", "extremal", "group_core", "monogamy", "npartite", "observables", "region", "states")
 
 
 def test_no_submodule_keeps_its_own_export_list():

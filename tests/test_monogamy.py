@@ -1,5 +1,4 @@
 import os
-import time
 
 import numpy as np
 import pytest
@@ -148,21 +147,16 @@ def test_region_audit_clean_and_deterministic(monkeypatch):
     assert set(payload) == {"samples", "seed", "min_margin", "violations"}
 
 
-def test_region_audit_builds_the_exchange_table_once(monkeypatch):
-    # the main thread builds the n = 3 table before the pool starts; slowed
-    # down, a build the pool threads start together would run once in each
-    gc.exchange_table.cache_clear()
-    operator = gc.exchange_operator
+def test_region_audit_never_calls_exchange_table(monkeypatch):
+    # the shards read state3's exchange pairs, so the pool threads reach no
+    # lazily bound layer
+    def refuse(n):
+        raise AssertionError("the audit built an exchange table")
 
-    def slow_operator(n, pair):
-        time.sleep(0.01)
-        return operator(n, pair)
-
-    monkeypatch.setattr(gc, "exchange_operator", slow_operator)
+    monkeypatch.setattr(gc, "exchange_table", refuse)
     monkeypatch.setattr(mg, "default_thread_count", lambda: 2)
     report = mg.region_audit(3 * mg.AUDIT_SHARD, 5, mixed_samples=mg.AUDIT_SHARD)
     assert report.violations == 0
-    assert gc.exchange_table.cache_info().misses == 1
 
 
 def test_v_of_a_lone_row_is_its_bits_in_a_full_shard():

@@ -1,10 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from statmon import extremal as ex
 from statmon import group_core as gc
+from statmon import monogamy as mg
 from statmon import observables as ob
+from statmon import state3
 from statmon import states as st
 from statmon.errors import CapacityError, ValidationError
 
@@ -193,6 +197,61 @@ def test_pure_state_refuses_an_amplitude_whose_square_overflows(big):
     # the norm overflowed with numpy's RuntimeWarning before the refusal
     with pytest.raises(ValidationError, match=r"^state norm inf differs from 1"):
         st.PureState(3, [big, 0, 0, 0, 0, 0])
+
+
+def _refusal(read, *args):
+    """The ValidationError message of read(*args), or None if it accepts."""
+    try:
+        read(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_read_state_and_pure_state_agree_a_few_ulps_from_the_norm_bounds():
+    # each seeded row is scaled to a few ulps either side of 1 +- NORM_TOL by
+    # its summed squares; numpy's norm, which PureState took, reads some of
+    # them on the other side of the bound
+    verdicts = []
+    for n in (3, 4, 5):
+        rng = np.random.default_rng(11 + n)
+        for _ in range(12):
+            z = st.random_amplitudes(n, 1, rng)[0]
+            norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in z.tolist()))
+            for bound in (1.0 + state3.NORM_TOL, 1.0 - state3.NORM_TOL):
+                for ulps in range(-3, 4):
+                    amps = z * (bound / norm * (1.0 + ulps * 2.0**-52))
+                    payload = {"n": n, "ordering": "paper3" if n == 3 else "lex",
+                               "amplitudes": np.stack([amps.real, amps.imag], axis=-1).tolist()}
+                    refusal = _refusal(state3.read_state, payload)
+                    assert refusal == _refusal(st.PureState, n, amps), (n, bound, ulps)
+                    verdicts.append(refusal is None)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+BOOLEAN_AS_NUMBER = {
+    "check_sqrt": lambda b: mg.check_sqrt([b, 0, 0]),
+    "check_theta": lambda b: mg.check_theta([0.1, 0.1, 0.1], b),
+    "Objective.from_pairs": lambda b: ex.Objective.from_pairs(3, {"AB": b}),
+    "Objective": lambda b: ex.Objective(3, [b, 0.5, b]),
+    "MixedState.from_mixture": lambda b: st.MixedState.from_mixture(
+        [b, 1 - b], [st.named_state("eq5"), st.named_state("eq6")]
+    ),
+    "Pair": lambda b: gc.Pair(b, 2),
+    "symmetric_ray_extreme": lambda b: ex.symmetric_ray_extreme([b, 1, 1]),
+    "chi_state": lambda b: ob.chi_state(b, 0.5, 1, 1),
+    "w_theta": lambda b: ob.w_theta(b),
+    "named_state": lambda b: st.named_state("chi", theta=0.5, phi=b, s1=1, s2=-1),
+}
+
+
+@pytest.mark.parametrize("boolean", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("call", BOOLEAN_AS_NUMBER.values(), ids=BOOLEAN_AS_NUMBER)
+def test_booleans_are_refused_where_numbers_are_read(call, boolean):
+    # float() and numpy read true as 1: each of these once computed with it
+    call(1)
+    with pytest.raises(ValidationError):
+        call(boolean)
 
 
 def test_mixed_state_keeps_the_hermitian_part_of_a_near_hermitian_matrix():
