@@ -30,9 +30,9 @@ def _lazy(name: str):
 
 
 # Every layer but region is bound lazily, so `check`, `--help` and usage
-# errors never import numpy, and `state`, `v` of a three-box state and
-# `surface` run only state3.  Each sits in sys.modules from the start, where
-# perfbench's tracer looks it up.
+# errors never import numpy, and `state`, `v` and `surface` run only state3.
+# Each sits in sys.modules from the start, where perfbench's tracer looks it
+# up, even the ones no command here reads.
 eigh, extremal, group_core, monogamy, npartite, observables, selftest, state3, states = map(
     _lazy,
     ("eigh", "extremal", "group_core", "monogamy", "npartite", "observables", "selftest", "state3", "states"),
@@ -158,12 +158,7 @@ def _cmd_state(args) -> int:
 
 def _cmd_v(args) -> int:
     n, amps = _resolve_state(args.state)
-    if n == 3:
-        pairs, v = state3.PAIR_LABELS3, state3.v_of_amplitudes(amps)
-    else:  # numpy's batched kernel, on the amplitudes read_state validated
-        pairs = [p.label() for p in group_core.canonical_pairs(n)]
-        v = observables.exchange_rows([amps], n)[0]
-    _emit({"n": n, "pairs": list(pairs), "v": [float(x) for x in v]})
+    _emit({"n": n, "pairs": list(state3.pair_labels(n)), "v": list(state3.v_of_amplitudes(n, amps))})
     return EXIT_OK
 
 

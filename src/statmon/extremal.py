@@ -73,11 +73,6 @@ class Objective:
             raise ValidationError(f"pairs {sorted(map(str, unknown))} invalid for n = {n}")
         return cls(n, np.array([lookup.get(p, 0.0) for p in pairs]))
 
-    @property
-    def weight_sum(self) -> float:
-        """sum |c_XY|: a bound on every eigenvalue's magnitude."""
-        return float(np.abs(self.weights).sum())
-
     def matrix(self) -> np.ndarray:
         return group_core.exchange_matrix(self.n, self.weights)
 

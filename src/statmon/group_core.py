@@ -16,22 +16,20 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError, holds_boolean
-from .state3 import MAX_BOXES, PAIRS3, PAPER3_WORDS, factorial_dim, validate_box_count
-
-_LETTERS = "ABCDEFG"
+from .state3 import BOX_LETTERS, PAPER3_WORDS, exchange_mappings, factorial_dim, pair_order, validate_box_count
 
 Word = tuple[int, ...]
 
 
 def box_letter(index: int) -> str:
     """Printable label of a box: 0 -> A, 1 -> B, ..."""
-    if not 0 <= index < MAX_BOXES:
+    if not 0 <= index < len(BOX_LETTERS):
         raise ValidationError(f"box index {index} out of range")
-    return _LETTERS[index]
+    return BOX_LETTERS[index]
 
 
 def parse_box(label: str) -> int:
-    idx = _LETTERS.find(label.upper()) if len(label) == 1 else -1
+    idx = BOX_LETTERS.find(label.upper()) if len(label) == 1 else -1
     if idx < 0:
         raise ValidationError(f"unknown box label {label!r}")
     return idx
@@ -69,13 +67,9 @@ class Pair:
 
 @lru_cache(maxsize=None)
 def canonical_pairs(n: int) -> tuple[Pair, ...]:
-    """Pair order used for weight vectors and v-vectors.
-
-    For n = 3 the order is state3.PAIRS3, (AB, BC, AC), matching the
-    conventional vector v = (v_AB, v_BC, v_AC); other n use lexicographic order.
-    """
-    validate_box_count(n)
-    return tuple(Pair(a, b) for a, b in (PAIRS3 if n == 3 else itertools.combinations(range(n), 2)))
+    """Pair order of weight vectors and v-vectors, state3.pair_order's: for
+    n = 3, (AB, BC, AC), as in v = (v_AB, v_BC, v_AC), else lexicographic."""
+    return tuple(Pair(a, b) for a, b in pair_order(n))
 
 
 def validate_word(word, n: int) -> Word:
@@ -102,21 +96,10 @@ def relabel(word: Word, pair: Pair) -> Word:
     return tuple(y if b == x else (x if b == y else b) for b in word)
 
 
-def lex_rank(words: np.ndarray) -> np.ndarray:
-    """Position of each row, a permutation of 0..n-1, in the lexicographic
-    order of all n! permutations: its Lehmer code c_i = #{j > i : w_j < w_i}
-    read as the factorial-base number sum_i c_i (n-1-i)!."""
-    n = words.shape[1]
-    rank = np.zeros(len(words), dtype=np.int64)
-    for i in range(n):
-        rank = rank * (n - i) + (words[:, i + 1:] < words[:, i:i + 1]).sum(axis=1)
-    return rank
-
-
 class BasisOrdering:
     """Bijection between occupation words and basis indices in [0, n!)."""
 
-    __slots__ = ("n", "kind", "words", "word_array", "_from_lex")
+    __slots__ = ("n", "kind", "words", "word_array", "_index")
 
     def __init__(self, n: int, kind: str):
         n = validate_box_count(n)
@@ -133,8 +116,7 @@ class BasisOrdering:
         self.words = words
         self.word_array = np.array(words, dtype=np.int64)
         self.word_array.setflags(write=False)
-        self._from_lex = np.empty(len(words), dtype=np.int64)
-        self._from_lex[lex_rank(self.word_array)] = np.arange(len(words))
+        self._index = {word: k for k, word in enumerate(words)}
 
     @property
     def dim(self) -> int:
@@ -146,13 +128,12 @@ class BasisOrdering:
         return cls(n, "paper3" if n == 3 else "lex")
 
     def word_to_index(self, word) -> int:
-        w = validate_word(word, self.n)
-        return int(self.indices(np.array([w]))[0])
+        return self._index[validate_word(word, self.n)]
 
     def indices(self, words: np.ndarray) -> np.ndarray:
         """Basis index of each row of an (M, n) array of words, which must
         be permutations of 0..n-1 (not checked)."""
-        return self._from_lex[lex_rank(words)]
+        return np.array([self._index[word] for word in map(tuple, words.tolist())], dtype=np.int64)
 
     def index_to_word(self, index: int) -> Word:
         if not 0 <= index < self.dim:
@@ -160,11 +141,7 @@ class BasisOrdering:
         return self.words[index]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BasisOrdering)
-            and self.n == other.n
-            and self.kind == other.kind
-        )
+        return isinstance(other, BasisOrdering) and (self.n, self.kind) == (other.n, other.kind)
 
     def __hash__(self):
         return hash((self.n, self.kind))
@@ -292,10 +269,13 @@ class ExchangeTable:
 
 @lru_cache(maxsize=None)
 def exchange_table(n: int) -> ExchangeTable:
-    """The exchange table of n boxes, arrays read-only, from the validated operators."""
+    """The exchange table of n boxes from state3's mappings, arrays read-only."""
     pairs = canonical_pairs(n)
-    mappings = np.array([exchange_operator(n, p).mapping for p in pairs])
-    lo = np.nonzero(mappings > np.arange(mappings.shape[1]))[1].reshape(len(pairs), -1)
+    mappings = np.array(exchange_mappings(n))
+    identity = np.arange(mappings.shape[1])
+    if np.any(mappings == identity) or np.any(np.take_along_axis(mappings, mappings, axis=1) != identity):
+        raise ConvergenceError("exchange mapping must be a fixed-point-free involution")
+    lo = np.nonzero(mappings > identity)[1].reshape(len(pairs), -1)
     hi = np.take_along_axis(mappings, lo, axis=1)
     for arr in (mappings, lo, hi):
         arr.setflags(write=False)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import group_core, region, state3
-from .errors import ContractError, ConvergenceError, ValidationError
+from .errors import ContractError, ConvergenceError, ValidationError, as_real
 from .state3 import validate_angle as _validate_angle
 from .states import MixedState, PureState
 
@@ -172,7 +172,7 @@ def chi_state(theta: float, phi: float, s1, s2) -> PureState:
 def bunching_probability(v: float) -> float:
     """Probability (1 + v)/2 that the pair bunches in a two-port interference
     test; v = +1 is a perfect boson pair."""
-    v = float(v)
+    v = as_real(v, "exchange expectation")
     if not np.isfinite(v) or abs(v) > 1.0 + 1e-9:
         raise ValidationError(f"exchange expectation must lie in [-1, 1], got {v}")
     return (1.0 + v) / 2.0
@@ -180,5 +180,5 @@ def bunching_probability(v: float) -> float:
 
 def antibunching_probability(v: float) -> float:
     """Probability (1 - v)/2 of antibunching; v = -1 is a perfect fermion pair."""
-    return bunching_probability(-float(v))
+    return bunching_probability(-as_real(v, "exchange expectation"))
 

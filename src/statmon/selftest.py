@@ -362,7 +362,7 @@ def boundary_states_on_surface():
 @_check
 def state3_cross_check():
     """The numpy-free single-state module against the numpy layers: its
-    exact chi bases, its exchange pairs, its v and every boundary row of an
+    exact chi bases, its v of n = 2..5 boxes and every boundary row of an
     8 x 5 mesh."""
     f = observables.w_frame()
     sym, psi0, signed_w3_psi0 = (np.array(rows) for rows in state3.CHI_BASES)
@@ -376,19 +376,17 @@ def state3_cross_check():
         np.abs(basis @ basis.T - np.eye(6)).max(),
     )
     assert worst <= 1e-15
-    table = group_core.exchange_table(3)
-    assert [[list(pair) for pair in zip(*pairs)] for pairs in state3.EXCHANGE_PAIRS3] == [
-        [lo, hi] for lo, hi in zip(table.lo.tolist(), table.hi.tolist())
-    ]
-    # seeded rows stored in either word order read back to exchange_rows' v bits
-    amps = states.random_amplitudes(3, 16, np.random.default_rng(23))
-    lex = group_core.BasisOrdering.canonical(3).indices(group_core.BasisOrdering(3, "lex").word_array)
-    want = observables.exchange_rows(amps, 3)
-    for kind, order in (("paper3", slice(None)), ("lex", lex)):
-        parts = np.stack([amps.real, amps.imag], axis=-1)[:, order].tolist()
-        got = [state3.v_of_amplitudes(state3.read_state({"n": 3, "ordering": kind, "amplitudes": row})[1])
-               for row in parts]
-        assert np.array(got).tobytes() == want.tobytes(), kind
+    # seeded rows of n = 2..5 boxes, stored in every word order, read back to
+    # exchange_rows' v bits
+    lex3 = group_core.BasisOrdering.canonical(3).indices(group_core.BasisOrdering(3, "lex").word_array)
+    for n in range(2, 6):
+        amps = states.random_amplitudes(n, 16, np.random.default_rng(20 + n))
+        want = observables.exchange_rows(amps, n)
+        for kind, order in (("paper3", slice(None)), ("lex", lex3)) if n == 3 else (("lex", slice(None)),):
+            parts = np.stack([amps.real, amps.imag], axis=-1)[:, order].tolist()
+            got = [state3.v_of_amplitudes(n, state3.read_state({"n": n, "ordering": kind, "amplitudes": row})[1])
+                   for row in parts]
+            assert np.array(got).tobytes() == want.tobytes(), (n, kind)
     # boundary rows, (theta, phi, s1, s2) with signs +1 then -1: W_theta takes
     # chi = cos(phi)|s1> + sin(phi) psi_theta to s2 (chi - cos(phi)|s1>), since
     # W_theta annihilates |s1>; v and margin are the scalar routes' bits
@@ -401,11 +399,11 @@ def state3_cross_check():
               for t, theta in enumerate(thetas))
     assert gap <= 1e-15
     assert V.tobytes() == observables.exchange_rows(amps, 3).tobytes()
-    assert V.tobytes() == np.array([state3.v_of_amplitudes(row) for row in amps.tolist()]).tobytes()
+    assert V.tobytes() == np.array([state3.v_of_amplitudes(3, row) for row in amps.tolist()]).tobytes()
     # check_sqrt's arithmetic, without its per-call validation of v
     assert margins.tobytes() == np.array([region.margin_of_w(*region.frame_of_v(*v)) for v in V.tolist()]).tobytes()
     return (
-        f"chi bases residual <= {worst:.1e}; 32 stored rows' v bit for bit; "
+        f"chi bases residual <= {worst:.1e}; 80 stored rows of n=2..5: v bit for bit; "
         f"160 mesh rows: W_theta residual <= {gap:.1e}, v and margin bit for bit"
     )
 

@@ -1,12 +1,12 @@
-"""Single states on plain floats: the paper3 basis and n = 3 pair order, the
-named three-box catalog, the chi boundary family in closed form, the
-boundary mesh and its CSV, the state-JSON reader and amplitude check, the
-Gaussian draw and the v-vector of one three-box state.
+"""Single states on plain floats: the words, pair order and exchanges of
+every box count, the named three-box catalog, the chi boundary family in
+closed form, the boundary mesh and its CSV, the state-JSON reader and
+amplitude check, the Gaussian draw and the v-vector of one state.
 
-Everything here uses `math` only, so `statmon state`, `statmon v` of a
-three-box state and `statmon surface` answer without importing numpy.  The
-numpy layers read these definitions instead of keeping copies: group_core
-its paper3 order, pair order, box-count check and n!, states its catalog,
+Everything here uses `math` only, so `statmon state`, `statmon v` and
+`statmon surface` answer without importing numpy.  The numpy layers read
+these definitions instead of keeping copies: group_core its paper3 order,
+pair order, exchange mappings, box-count check and n!, states its catalog,
 reader, amplitude check and draw, observables its sign and angle checks and
 its chi state, monogamy its mesh rows, CSV writer, draw and exchange pairs.
 """
@@ -14,6 +14,7 @@ its chi state, monogamy its mesh rows, CSV writer, draw and exchange pairs.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from .errors import CapacityError, ConvergenceError, ValidationError, as_count, 
 from .region import NAMED_STATES
 
 MAX_BOXES = 7  # 7! = 5040 basis words; hard desk-scale cap
+BOX_LETTERS = "ABCDEFG"  # printable label of box k
 NORM_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
 # The rows stream to the CSV, so memory does not grow with the mesh: at the
@@ -34,22 +36,12 @@ CHI_PARAMS = ("theta", "phi", "s1", "s2")
 # listing ABC, BAC, CAB, CBA, ACB, BCA.  Every other n uses lexicographic
 # order of words.
 PAPER3_WORDS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (2, 1, 0), (0, 2, 1), (1, 2, 0))
-_INDEX3 = {word: k for k, word in enumerate(PAPER3_WORDS)}
 # entry k: the lex-order position of the k-th paper3 word
 _FROM_LEX3 = tuple(sorted(PAPER3_WORDS).index(word) for word in PAPER3_WORDS)
 
 
-def _exchange_pairs(x: int, y: int) -> tuple[tuple[int, int], ...]:
-    """Word pairs (lo, hi), lo < hi in ascending lo, that the exchange of
-    boxes x and y swaps: it swaps the two labels in every word."""
-    partner = [_INDEX3[tuple(y if b == x else x if b == y else b for b in w)] for w in PAPER3_WORDS]
-    return tuple((k, m) for k, m in enumerate(partner) if k < m)
-
-
-# The canonical n = 3 pairs, v = (v_AB, v_BC, v_AC), and their swapped words
+# The canonical n = 3 pairs, v = (v_AB, v_BC, v_AC)
 PAIRS3 = ((0, 1), (1, 2), (0, 2))
-PAIR_LABELS3 = tuple("ABC"[x] + "ABC"[y] for x, y in PAIRS3)
-EXCHANGE_PAIRS3 = tuple(_exchange_pairs(x, y) for x, y in PAIRS3)
 
 _R6 = 1.0 / math.sqrt(6.0)
 _R12 = 1.0 / math.sqrt(12.0)
@@ -73,7 +65,7 @@ _CATALOG3 = {
 def _paper3(entries: dict) -> tuple[complex, ...]:
     amps = [0j] * 6
     for word, amp in entries.items():
-        amps[_INDEX3[tuple("ABC".index(ch) for ch in word)]] = complex(amp)
+        amps[PAPER3_WORDS.index(tuple(map(BOX_LETTERS.index, word)))] = complex(amp)
     return tuple(amps)
 
 
@@ -102,6 +94,42 @@ def validate_box_count(n: int) -> int:
 
 def factorial_dim(n: int) -> int:
     return math.factorial(validate_box_count(n))
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_words(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n! words of n boxes in basis order: PAPER3_WORDS or lexicographic."""
+    return PAPER3_WORDS if validate_box_count(n) == 3 else tuple(itertools.permutations(range(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def pair_order(n: int) -> tuple[tuple[int, int], ...]:
+    """The box pairs (x, y), x < y, of weight and v-vectors: PAIRS3 or lexicographic."""
+    return PAIRS3 if validate_box_count(n) == 3 else tuple(itertools.combinations(range(n), 2))
+
+
+def pair_labels(n: int) -> tuple[str, ...]:
+    return tuple(BOX_LETTERS[x] + BOX_LETTERS[y] for x, y in pair_order(n))
+
+
+@functools.lru_cache(maxsize=None)
+def exchange_mappings(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per canonical pair, its exchange's basis mapping: entry k is the index of
+    word k with the pair's two labels swapped, by bytes.translate on words as bytes."""
+    words = [bytes(word) for word in canonical_words(n)]
+    index = {word: k for k, word in enumerate(words)}
+    swaps = (bytes.maketrans(bytes((x, y)), bytes((y, x))) for x, y in pair_order(n))
+    return tuple(tuple([index[word.translate(swap)] for word in words]) for swap in swaps)
+
+
+@functools.lru_cache(maxsize=None)
+def exchange_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per canonical pair, the word pairs (k, m) its exchange swaps, k < m, k ascending."""
+    return tuple(tuple((k, m) for k, m in enumerate(mapping) if k < m) for mapping in exchange_mappings(n))
+
+
+PAIR_LABELS3 = pair_labels(3)
+EXCHANGE_PAIRS3 = exchange_pairs(3)
 
 
 def parse_sign(value) -> int:
@@ -209,13 +237,13 @@ def gaussian_parts(n: int, count: int, rng):
     return rng.standard_normal((2, count, factorial_dim(n)))
 
 
-def v_of_amplitudes(amps) -> tuple[float, float, float]:
-    """(v_AB, v_BC, v_AC) of unit paper3-order amplitudes: per pair, the sum
-    over its swapped words k < m, k ascending, of re_k re_m + im_k im_m,
-    doubled.  That is observables.exchange_rows' order, so a state gets the
-    bits it gets there."""
+def v_of_amplitudes(n: int, amps) -> tuple[float, ...]:
+    """v of unit canonical-order amplitudes of n boxes, in canonical pair
+    order: per pair, the sum over its swapped words k < m, k ascending, of
+    re_k re_m + im_k im_m, doubled.  That is observables.exchange_rows'
+    order, so a state gets the bits it gets there."""
     v = []
-    for pairs in EXCHANGE_PAIRS3:
+    for pairs in exchange_pairs(n):
         total = 0.0
         for k, m in pairs:
             a, b = amps[k], amps[m]

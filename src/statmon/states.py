@@ -17,7 +17,7 @@ DENSITY_MAX_BYTES = 2**24  # one n! x n! complex density matrix: n = 6 takes 8.3
 
 
 def _boxes_from_dim(dim: int) -> int:
-    for n in range(2, group_core.MAX_BOXES + 1):
+    for n in range(2, state3.MAX_BOXES + 1):
         if math.factorial(n) == dim:
             return n
     raise ValidationError(f"amplitude vector length {dim} is not n! for supported n")
@@ -30,6 +30,8 @@ class PureState:
 
     def __init__(self, n: int, amplitudes):
         n = group_core.validate_box_count(n)
+        if holds_boolean(amplitudes):  # numpy reads true as 1
+            raise ValidationError("amplitudes must be numbers, not booleans")
         amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
         state3.check_amplitudes(n, amps.tolist())
         self.n = n
@@ -64,6 +66,8 @@ def normalize(amplitudes, n: int | None = None) -> PureState:
         n = amplitudes.n
         amps = np.array(amplitudes.amplitudes)
     else:
+        if holds_boolean(amplitudes):
+            raise ValidationError("amplitudes must be numbers, not booleans")
         amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
         if n is None:
             n = _boxes_from_dim(amps.shape[0])

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
 import statmon
+from statmon import group_core as gc
 from statmon import state3
 from statmon import states as st
 from statmon.cli import build_parser, main
+from statmon.observables import exchange_rows
 from statmon.selftest import CHECKS
 
 
@@ -356,7 +358,8 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
         assert seen.pop(" ".join(argv)) == untouched, argv
     for argv in state3_only:
         assert seen.pop(" ".join(argv)) == dict(untouched, state3="run"), argv
-    assert seen.pop(" ".join(four_box_v)) == dict(untouched, state3="run", numpy=True)
+    # v of every box count runs state3's exchange pairs, with no numpy
+    assert seen.pop(" ".join(four_box_v)) == dict(untouched, state3="run", numpy=False)
     assert seen.pop("extremal --objective AB:1,BC:-1") == dict(untouched, extremal="run", state3="run", numpy=True)
     assert seen == {"pool": []}
 
@@ -377,6 +380,46 @@ def test_v_of_a_stored_state_past_three_boxes_builds_no_pure_state(tmp_path, cap
         code, out, _ = run(capsys, "v", "--state", str(tmp_path / f"{n}.json"))
         assert code == 0
         assert json.loads(out)["v"] == [float(f"{x:.12g}") for x in statmon.v_vector(state).tolist()]
+
+
+def _stored_v_states(n: int) -> dict:
+    """Canonical-order amplitudes of n boxes: a random complex state, one word
+    (every other amplitude an exact zero) and a state of negative parts."""
+    random = st.random_pure_state(n, 40 + n).amplitudes
+    word = np.zeros(random.size, dtype=complex)
+    word[-1] = -1.0
+    negative = -(np.abs(random.real) + 1j * np.abs(random.imag))
+    return {"random": random, "word": word, "negative": negative / np.linalg.norm(negative)}
+
+
+def test_v_of_every_box_count_prints_the_batched_kernel_bits_without_numpy(tmp_path, capsys):
+    lex3 = gc.BasisOrdering.canonical(3).indices(gc.BasisOrdering(3, "lex").word_array).tolist()
+    argvs = []
+    for n in range(2, 8):
+        for kind, amps in _stored_v_states(n).items():
+            want_v = [float(f"{x:.12g}") for x in exchange_rows(amps[None, :], n)[0].tolist()]
+            payload = st.state_to_jsonable(st.PureState(n, amps))
+            stored = [("canonical", payload)]
+            if n == 3:  # the same state listed in lex word order
+                lex = [payload["amplitudes"][m] for m in lex3]
+                stored.append(("lex", dict(payload, ordering="lex", amplitudes=lex)))
+            for ordering, obj in stored:
+                path = tmp_path / f"{n}-{kind}-{ordering}.json"
+                path.write_text(json.dumps(obj))
+                argvs.append(["v", "--state", str(path)])
+                code, out, _ = run(capsys, *argvs[-1])
+                assert code == 0, argvs[-1]
+                # json.dumps keeps a zero's sign, so the text pins every printed bit
+                expected = {"n": n, "pairs": [p.label() for p in gc.canonical_pairs(n)], "v": want_v}
+                assert out == json.dumps(expected, indent=2) + "\n", (n, kind, ordering)
+    probe = (
+        "import contextlib, io, json, sys\nimport statmon.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert statmon.cli.main(argv) == 0, argv\n"
+        "print(json.dumps('numpy' in sys.modules))"
+    )
+    assert _fresh_python(probe) is False
 
 
 # The statmon modules that are still LazyLoader modules when the audit's pool

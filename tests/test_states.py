@@ -242,6 +242,10 @@ BOOLEAN_AS_NUMBER = {
     "chi_state": lambda b: ob.chi_state(b, 0.5, 1, 1),
     "w_theta": lambda b: ob.w_theta(b),
     "named_state": lambda b: st.named_state("chi", theta=0.5, phi=b, s1=1, s2=-1),
+    "PureState": lambda b: st.PureState(3, [b, 0, 0, 0, 0, 0]),
+    "normalize": lambda b: st.normalize([b, 0, 0, 0, 0, 0]),
+    "bunching_probability": lambda b: ob.bunching_probability(b),
+    "antibunching_probability": lambda b: ob.antibunching_probability(b),
 }
 
 
