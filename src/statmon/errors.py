@@ -13,7 +13,9 @@ class ValidationError(StatmonError, ValueError):
 
 
 class CapacityError(ValidationError):
-    """Requested box count exceeds the supported desk-scale range."""
+    """A request over a size gate, refused before allocating: the box count,
+    the orbit-space dimension k of a constrained solve (at most 720), or a
+    mesh, grid, sample or byte budget."""
 
 
 class ContractError(StatmonError, ValueError):

@@ -3,7 +3,7 @@
 Unconstrained problems reduce to the top eigenvalue of the real symmetric
 objective matrix.  Perfect-statistics constraints (v_XY = +-1) are
 eigenspace conditions, so the constrained problem is the same eigenvalue
-problem restricted to the joint constraint eigenspace.
+problem restricted to the joint constraint eigenspace, built in its orbit basis.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import as_real, holds_boolean
 RESULT_TOL = 1e-9
 # Bounds every eigenvalue and every c.v of an objective, so each stays finite.
 WEIGHT_SUM_MAX = 1e300
-DENSE_EIG_MAX_BOXES = 5  # dense n! x n! eigensolves stop being desk scale at 6! = 720
+ORBIT_DIM_MAX = 720  # k x k restricted solves: 6! keeps each one within about a second
 SEARCH_BATCH_MAX_BYTES = 2**26  # complex amplitudes drawn per round; the draw and its normalization peak at 2x
 SEARCH_SHRINK = 0.55  # random_search_max narrows its spread by this factor each round
 SEARCH_RESTARTS = 5  # independent annealing runs in random_search_max
@@ -117,19 +117,13 @@ def max_expectation(objective: Objective) -> ExtremalResult:
     return constrained_extremal((), objective)
 
 
-def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
-    """Orthonormal basis (columns) of the intersection of the constraints'
-    eigenspaces: psi[m(i)] = s psi[i] for each constrained exchange mapping m
-    and sign s, so each orbit of words under the constrained swaps gives one
-    column, sign/sqrt(orbit size) with +1 on its lowest word, in the order of
-    those words.  Raises InfeasibleError when the signs disagree, and
-    CapacityError for n above the dense limit before allocating anything.
-    """
+def constraint_orbits(n: int, constraints) -> tuple[np.ndarray, np.ndarray, int]:
+    """The joint constraint eigenspace (psi[m(i)] = s psi[i] for each constrained exchange
+    mapping m and sign s) as orbits of words under the constrained swaps: each word's orbit
+    `column`, orbits in the order of their lowest words, its `entry` sign/sqrt(orbit size),
+    +1 on the lowest word, and the dimension k.  InfeasibleError when the signs disagree;
+    CapacityError for k over ORBIT_DIM_MAX, before any k x k or n! x k array exists."""
     n = group_core.validate_box_count(n)
-    if n > DENSE_EIG_MAX_BOXES:
-        raise CapacityError(
-            f"dense eigenvalue problems support n <= {DENSE_EIG_MAX_BOXES}, got {n}"
-        )
     constraints = list(constraints)
     for c in constraints:
         if c.pair.y >= n:
@@ -150,13 +144,30 @@ def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
             + ", ".join(f"v_{c.pair}={c.value:+d}" for c in constraints)
         )
     _, column, size = np.unique(low, return_inverse=True, return_counts=True)
-    return np.eye(size.shape[0])[column] * (sign / np.sqrt(size[column]))[:, None]
+    if size.shape[0] > ORBIT_DIM_MAX:
+        raise CapacityError(f"the constrained space of n = {n} has dimension {size.shape[0]}, over {ORBIT_DIM_MAX}")
+    return column, sign / np.sqrt(size[column]), size.shape[0]
+
+
+def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
+    """Orthonormal basis of the joint constraint eigenspace: one column per orbit of constraint_orbits."""
+    column, entry, k = constraint_orbits(n, constraints)
+    return np.eye(k)[column] * entry[:, None]
 
 
 def constraint_projector(n: int, constraints) -> np.ndarray:
     """Orthogonal projector onto the joint constraint eigenspace."""
     basis = joint_eigenspace_basis(n, constraints)
     return basis @ basis.T
+
+
+def restricted_matrix(n: int, weights, column, entry, k: int) -> np.ndarray:
+    """B^T (sum_p c_p Pi_p) B for the orbit basis B of constraint_orbits, by one scatter: each
+    exchange m_p and word w add c_p entry[w] entry[m_p(w)] at (column[w], column[m_p(w)]).  With
+    no constraints B is the identity and each entry holds one weight, as in exchange_matrix."""
+    m = group_core.exchange_table(n).mappings
+    products = np.asarray(weights, dtype=np.float64)[:, None] * (entry * entry[m])
+    return np.bincount((column * k + column[m]).ravel(), products.ravel(), minlength=k * k).reshape(k, k)
 
 
 def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
@@ -167,24 +178,23 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     mapped back to the full space and is verified against every constraint.
     """
     constraints = list(constraints)
-    basis = joint_eigenspace_basis(objective.n, constraints)
+    column, entry, k = constraint_orbits(objective.n, constraints)
     # solved in units of max |c_XY|, so that symmetric_spectrum's tolerances,
     # absolute below unit scale, stay relative to the weights
     unit = float(np.abs(objective.weights).max())
-    restricted = basis.T @ (objective.matrix() / unit) @ basis
+    weights = objective.weights / unit
+    restricted = restricted_matrix(objective.n, weights, column, entry, k)
     # cluster at the full objective's scale, 1 in these units: the restriction
     # can be pure roundoff, as for AB - CD on the v_AB = v_CD = +1 eigenspace
     dec = replace(symmetric_spectrum(restricted), scale=1.0)
     top = float(dec.eigenvalues[0])
-    vector = basis @ dec.eigenvectors[:, 0]
-    state = states.normalize(vector.astype(np.complex128), objective.n)
+    state = states.normalize((dec.eigenvectors[column, 0] * entry).astype(np.complex128), objective.n)
     v = observables.v_vector(state)
     for c in constraints:
         got = v[group_core.exchange_table(objective.n).row[c.pair]]
         if abs(got - c.value) > RESULT_TOL:
             raise ConvergenceError(f"solution violates v_{c.pair} = {c.value:+d}: got {got}")
     # <psi|M|psi> = c.v; its roundoff grows with the entries of M, which sum |c_XY| bounds
-    weights = objective.weights / unit
     achieved = v @ weights
     if abs(achieved - top) > RESULT_TOL * np.abs(weights).sum():
         raise ConvergenceError(f"eigenstate misses its eigenvalue by {(achieved - top) * unit:.2e}")

@@ -220,7 +220,7 @@ def scenario_report(graph: ScenarioGraph) -> ScenarioBound:
     the fixed edges to objective weights."""
     tri = triangle_bounds(graph) if graph.free else None
     if graph.free:
-        extremal.joint_eigenspace_basis(graph.n, [extremal.Constraint(p, v) for p, v in graph.fixed])
+        extremal.constraint_orbits(graph.n, [extremal.Constraint(p, v) for p, v in graph.fixed])
     spectral = spectral_bound(graph)
     improvement = None
     if tri is not None and spectral.spectral_bound is not None:

@@ -487,12 +487,15 @@ def orbit_basis_matches_dense_kernel():
     """joint_eigenspace_basis against the dense kernel of sum_i (I - s_i Pi_i)/2
     for all 27 sign patterns at n = 3 and 24 seeded ones at n = 4: the same
     verdicts and projectors, and entries exactly +-1/sqrt(orbit size) with
-    +1 on each orbit's lowest word, columns in the order of those words."""
+    +1 on each orbit's lowest word, columns in the order of those words.  On
+    each feasible pattern, the scattered restricted_matrix of a seeded
+    objective equals the dense B^T M B."""
     patterns = {
         3: np.array(list(itertools.product((0, 1, -1), repeat=3))),
         4: np.random.default_rng(2202).choice([0, 0, 1, -1], size=(24, 6)),  # half unconstrained
     }
-    worst, feasible = 0.0, 0
+    rng = np.random.default_rng(2801)
+    worst, worst_matrix, feasible = 0.0, 0.0, 0
     for n, signs in patterns.items():
         for row, reference in zip(signs, _dense_kernel_projectors(n, signs)):
             constraints = [extremal.Constraint(p, int(s)) for p, s in zip(group_core.canonical_pairs(n), row) if s]
@@ -508,9 +511,56 @@ def orbit_basis_matches_dense_kernel():
             assert np.array_equal(np.abs(basis), support / np.sqrt(sizes))
             assert np.array_equal(basis[lowest, np.arange(len(sizes))], 1.0 / np.sqrt(sizes))
             worst = max(worst, np.abs(basis @ basis.T - reference).max())
+            objective = extremal.Objective(n, rng.standard_normal(len(row)))
+            scattered = extremal.restricted_matrix(n, objective.weights, *extremal.constraint_orbits(n, constraints))
+            worst_matrix = max(worst_matrix, np.abs(scattered - basis.T @ objective.matrix() @ basis).max())
             feasible += 1
-    assert worst <= ALGEBRA_TOL
-    return f"51 sign patterns at n = 3, 4 ({feasible} feasible): same verdicts, projector gap <= {worst:.1e}"
+    assert worst <= ALGEBRA_TOL and worst_matrix <= ALGEBRA_TOL
+    return (
+        f"51 sign patterns at n = 3, 4 ({feasible} feasible): same verdicts, projector gap <= {worst:.1e}, "
+        f"restricted matrix gap <= {worst_matrix:.1e}"
+    )
+
+
+def _pair_law(a: int, sa: int, b: int, sb: int) -> tuple[float, float]:
+    """Closed-form range of v_st for s in a block of a boxes of sign sa and t
+    in another block of b boxes of sign sb."""
+    if sa == sb:
+        return (-1.0 / max(a, b), 1.0) if sa > 0 else (-1.0, 1.0 / max(a, b))
+    return (-1.0 / a, 1.0 / b) if sa > 0 else (-1.0 / b, 1.0 / a)
+
+
+@_check
+def pair_law():
+    """Closed form against constrained_extremal on n = 6 block layouts, every
+    pair inside a block fixed at the block's sign: both blocks bosonic, v_st in
+    [-1/max(a, b), 1]; both fermionic, [-1, 1/max(a, b)]; s bosonic and t
+    fermionic, [-1/a, 1/b].  The paper's -1/2 is a = 2, b = 1, and here a = 2
+    beside a fermionic block of 4.  Every layout keeps k <= 20: LAPACK's
+    divide-and-conquer eigh, which starts threaded BLAS, runs from k = 26."""
+    layouts = (
+        ({"ABC": +1, "DEF": +1}, "AD", -1.0),
+        ({"ABCD": +1, "EF": +1}, "AE", -1.0),
+        ({"ABC": -1, "DEF": -1}, "AD", 1.0),
+        ({"ABCD": -1, "EF": -1}, "AE", 1.0),
+        ({"AB": +1, "CDEF": -1}, "AC", -1.0),
+        ({"ABCD": +1, "EF": -1}, "AE", 1.0),
+        ({"AB": -1, "CDEF": +1}, "AC", 1.0),
+    )
+    worst = 0.0
+    for blocks, label, weight in layouts:
+        block_of = {group_core.parse_box(b): (len(boxes), sign) for boxes, sign in blocks.items() for b in boxes}
+        constraints = [
+            extremal.Constraint(group_core.Pair.parse(x + y), sign)
+            for boxes, sign in blocks.items()
+            for x, y in itertools.combinations(boxes, 2)
+        ]
+        pair = group_core.Pair.parse(label)
+        expected = max(weight * end for end in _pair_law(*block_of[pair.x], *block_of[pair.y]))
+        got = extremal.constrained_extremal(constraints, extremal.Objective.from_pairs(6, {label: weight})).value
+        assert abs(got - expected) <= ALGEBRA_TOL, f"{blocks}, {label}: {weight}: {got}, closed form {expected}"
+        worst = max(worst, abs(got - expected))
+    return f"{len(layouts)} block layouts at n = 6: closed form vs constrained_extremal gap <= {worst:.1e}"
 
 
 @_check

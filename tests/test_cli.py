@@ -196,6 +196,34 @@ def test_extremal_infeasible_exit(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize(
+    "n, fixed, objective, code, value, degeneracy",
+    [
+        (6, "", "AB:1", 0, 1.0, 360),
+        (6, "AB=1", "AC:-1", 0, 0.5, None),  # the paper's bound at six boxes
+        (7, "AB=1,BC=1,CD=1", "DE:-1", 0, 0.25, None),
+        (7, "", "AB:1", 1, None, None),  # constrained space of dimension 7! = 5040
+        (6, "AB=1,AB=-1", "AC:1", 2, None, None),
+    ],
+)
+def test_extremal_at_six_and_seven_boxes_meets_the_pair_law(capsys, n, fixed, objective, code, value, degeneracy):
+    # the README's pair law: a boson block of a boxes holds v between one of
+    # its boxes and an outside box at or above -1/a
+    argv = ["extremal", "--n", str(n), "--objective", objective] + (["--fix", fixed] if fixed else [])
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    if code == 1:
+        assert "5040" in err and "720" in err
+    if code != 0:
+        return
+    payload = json.loads(out)
+    assert abs(payload["value"] - value) <= 1e-9
+    assert degeneracy is None or payload["degeneracy"] == degeneracy
+    pairs = gc.canonical_pairs(n)
+    for label, sign in (entry.split("=") for entry in filter(None, fixed.split(","))):
+        assert abs(payload["v"][pairs.index(gc.Pair.parse(label))] - int(sign)) <= 1e-9
+
+
 def test_extremal_infers_boxes(capsys):
     code, out, _ = run(capsys, "extremal", "--objective", "AB:1,CD:1")
     assert code == 0

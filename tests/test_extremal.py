@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 from statmon import extremal as ex
 from statmon import group_core as gc
 from statmon import monogamy as mg
+from statmon import npartite as npx
 from statmon import observables as ob
 from statmon import selftest
 from statmon.errors import CapacityError, InfeasibleError, ValidationError
@@ -240,20 +241,54 @@ def test_random_search_is_a_lower_bound_that_improves():
 
 def test_dense_eigensolve_capacity():
     with pytest.raises(CapacityError) as info:
-        ex.max_expectation(ex.Objective.from_pairs(6, {"AB": 1.0}))
-    assert "n <= 5" in str(info.value)
+        ex.max_expectation(ex.Objective.from_pairs(7, {"AB": 1.0}))
+    assert "5040" in str(info.value) and "720" in str(info.value)
 
 
 def test_joint_eigenspace_capacity_gate():
-    # a conflicting pair allocates nothing, so only the gate can raise first
     conflict = [ex.Constraint(P("AB"), +1), ex.Constraint(P("AB"), -1)]
-    for n in (6, 7):
-        with pytest.raises(CapacityError):
+    for n in (5, 6, 7):
+        with pytest.raises(InfeasibleError):
             ex.joint_eigenspace_basis(n, conflict)
-        with pytest.raises(CapacityError):
+        with pytest.raises(InfeasibleError):
             ex.constraint_projector(n, conflict)
-    with pytest.raises(InfeasibleError):
-        ex.joint_eigenspace_basis(5, conflict)
+    # unconstrained n = 7 has dimension 5040: a 5040 x 5040 float matrix
+    # takes 203 MB, so the refusal must come before any such array exists
+    refusals = (
+        lambda: ex.joint_eigenspace_basis(7, []),
+        lambda: ex.constraint_projector(7, []),
+        lambda: ex.max_expectation(ex.Objective.from_pairs(7, {"AB": 1.0})),
+    )
+    for refuse in refusals:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="dimension 5040, over 720"):
+                refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def test_the_solve_path_builds_no_dense_matrix(monkeypatch):
+    # the orbit scatter alone: no n! x k basis and no n! x n! objective
+    objective = ex.Objective.from_pairs(5, {"AC": 0.7, "BE": -0.4, "DE": 1.1, "BC": 0.3})
+    problems = ([], [ex.Constraint(P("AB"), +1), ex.Constraint(P("CD"), -1)])
+    references = []
+    for constraints in problems:
+        basis = ex.joint_eigenspace_basis(5, constraints)
+        references.append(np.linalg.eigvalsh(basis.T @ objective.matrix() @ basis)[-1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix was built on the solve path")
+
+    monkeypatch.setattr(ex, "joint_eigenspace_basis", refuse)
+    monkeypatch.setattr(ex.Objective, "matrix", refuse)
+    monkeypatch.setattr(gc, "exchange_matrix", refuse)
+    for constraints, reference in zip(problems, references):
+        assert abs(ex.constrained_extremal(constraints, objective).value - reference) <= 1e-12
+    graph = npx.ScenarioGraph.from_jsonable({"n": 5, "fixed": {"AB": 1, "AC": 1, "BC": 1}, "free": ["AD", "BD", "CD"]})
+    assert abs(npx.scenario_report(graph).spectral_bound - 1.0 / 3.0) <= 1e-12
 
 
 def test_constrained_extremal_reproducible():

@@ -219,7 +219,7 @@ def test_spectral_attainment_ignores_pairs_neither_fixed_nor_free():
 
 def test_spectral_capacity_error():
     graph = npx.ScenarioGraph.from_jsonable(
-        {"n": 6, "fixed": {"AB": 1}, "free": ["BC"]}
+        {"n": 7, "fixed": {"AB": 1}, "free": ["BC"]}
     )
     with pytest.raises(CapacityError):
         npx.spectral_bound(graph)
