@@ -174,7 +174,7 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     """Maximize the objective over states satisfying every constraint.
 
     Returns the top eigenvalue of the objective restricted to the joint
-    constraint eigenspace; the state is the deterministic first eigenvector
+    constraint eigenspace; the state is the canonical top eigenvector
     mapped back to the full space and is verified against every constraint.
     """
     constraints = list(constraints)
@@ -188,7 +188,7 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     # can be pure roundoff, as for AB - CD on the v_AB = v_CD = +1 eigenspace
     dec = replace(symmetric_spectrum(restricted), scale=1.0)
     top = float(dec.eigenvalues[0])
-    state = states.normalize((dec.eigenvectors[column, 0] * entry).astype(np.complex128), objective.n)
+    state = states.normalize((dec.top_vector[column] * entry).astype(np.complex128), objective.n)
     v = observables.v_vector(state)
     for c in constraints:
         got = v[group_core.exchange_table(objective.n).row[c.pair]]

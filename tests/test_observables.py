@@ -195,9 +195,8 @@ def test_closed_form_boundary_vector_is_w_theta_eigenvector():
 
 def test_chi_state_at_theta_zero_is_the_solver_w2_eigenvector():
     # the exact psi0 basis against the eigensolver's canonical eigenvector
-    dec = symmetric_spectrum(ob.w_frame().W2)
     for s2 in (1, -1):
-        psi0 = dec.eigenvectors[:, dec.cluster_slice(float(s2)).start]
+        psi0 = symmetric_spectrum(s2 * ob.w_frame().W2).top_vector
         assert np.abs(ob.chi_state(0.0, np.pi / 2.0, +1, s2).amplitudes - psi0).max() <= 1e-15
 
 
