@@ -3,8 +3,9 @@
 Models n distinguishable particles in n labeled boxes, computes pairwise
 exchange expectations v_XY (the bunching/antibunching observables of
 two-port interference), verifies and exports the tight three-box tradeoff
-region for (v_AB, v_BC, v_AC), and solves extremal eigenvalue problems for
-three- and four-box scenarios.
+region for (v_AB, v_BC, v_AC), and solves extremal eigenvalue problems and
+pair-constraint scenarios of up to seven boxes, within a constrained-space
+dimension of 720.
 
 `import statmon` runs none of the submodules: each public name below is
 imported from its submodule on first access (PEP 562), so a script pays

@@ -60,8 +60,50 @@ def holds_boolean(value) -> bool:
 
 
 def as_real(value, what: str) -> float:
-    """`value` as a float; booleans and what float() refuses are a ValidationError."""
-    if not holds_boolean(value):
-        with contextlib.suppress(TypeError, ValueError):
+    """`value` as a float. Booleans, text, complex numbers, arrays, integers past
+    float range and whatever else float() refuses are a ValidationError."""
+    complex_dtype = getattr(getattr(value, "dtype", None), "kind", None) == "c"
+    if not (holds_boolean(value) or isinstance(value, (str, bytes)) or complex_dtype or getattr(value, "ndim", 0)):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
             return float(value)
     raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
+def as_instance(value, cls, what: str):
+    """`value` when it is a `cls`; anything else is a ValidationError."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {value!r:.80}")
+    return value
+
+
+def as_items(value, cls, what: str) -> list:
+    """`value`'s items as a list, if it is an iterable of `cls` instances; anything else is a ValidationError."""
+    try:
+        items = list(value)
+    except TypeError:
+        items = None
+    if items is None or not all(isinstance(item, cls) for item in items):
+        raise ValidationError(f"{what} must be an iterable of {cls.__name__}, got {value!r:.80}")
+    return items
+
+
+def as_array(value, what: str, dtype=float, ndim: int = 1, finite: bool = True, error=ValidationError):
+    """`value` as a new float64 array (complex128 for dtype=complex) of `ndim` axes. Refused
+    with `error`: booleans, text, ragged input, objects that are not numbers, integers past
+    float range, complex input to a real array, other axis counts and, if `finite`, NaN and inf."""
+    import numpy as np  # here, not at the top: the numpy-free commands import errors
+
+    try:
+        # numpy's own dtype first: a cast would read true as 1, parse text and drop imaginary parts
+        arr = None if holds_boolean(value) or isinstance(value, (str, bytes)) else np.asarray(value)
+        if arr is None or arr.dtype.kind not in ("iufO" if dtype is float else "iufcO"):
+            raise TypeError
+        arr = arr.astype(dtype)  # objects: ints past int64 convert; past float range, and non-numbers, raise
+    except (TypeError, ValueError, OverflowError):
+        kind = "real numbers" if dtype is float else "numbers"
+        raise error(f"{what} must be {kind}, got {value!r:.80}") from None
+    if arr.ndim != ndim:
+        raise error(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise error(f"{what} must be finite, got {value!r:.80}")
+    return arr

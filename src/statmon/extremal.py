@@ -16,7 +16,7 @@ import numpy as np
 from . import group_core, observables, region, states
 from .eigh import symmetric_spectrum
 from .errors import CapacityError, ConvergenceError, InfeasibleError, ValidationError, as_count, as_seed
-from .errors import as_real, holds_boolean
+from .errors import as_array, as_instance, as_items, as_real
 
 RESULT_TOL = 1e-9
 # Bounds every eigenvalue and every c.v of an objective, so each stays finite.
@@ -37,9 +37,7 @@ class Objective:
 
     def __post_init__(self):
         n = group_core.validate_box_count(self.n)
-        if holds_boolean(self.weights):
-            raise ValidationError(f"objective weights must be numbers, got {self.weights!r}")
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        w = as_array(self.weights, "objective weights", finite=False)
         pairs = group_core.canonical_pairs(n)
         if w.shape[0] != len(pairs):
             raise ValidationError(f"expected {len(pairs)} weights for n = {n}, got {w.shape[0]}")
@@ -63,7 +61,7 @@ class Objective:
     def from_pairs(cls, n: int, coefficients: dict) -> "Objective":
         pairs = group_core.canonical_pairs(n)
         lookup = {}
-        for key, value in coefficients.items():
+        for key, value in as_instance(coefficients, dict, "objective coefficients").items():
             pair = key if isinstance(key, group_core.Pair) else group_core.Pair.parse(str(key))
             if pair in lookup:
                 raise ValidationError(f"duplicate objective pair {pair}")
@@ -85,12 +83,14 @@ class Constraint:
     value: int
 
     def __post_init__(self):
-        if holds_boolean(self.value) or self.value not in (+1, -1):
+        as_instance(self.pair, group_core.Pair, "constraint pair")
+        value = as_real(self.value, f"constraint on {self.pair}")
+        if value not in (1.0, -1.0):
             raise ValidationError(
                 f"constraint on {self.pair} must be exactly +1 or -1, got {self.value!r}; "
                 "intermediate targets are not eigenspace conditions"
             )
-        object.__setattr__(self, "value", int(self.value))
+        object.__setattr__(self, "value", int(value))
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def constraint_orbits(n: int, constraints) -> tuple[np.ndarray, np.ndarray, int]
     +1 on the lowest word, and the dimension k.  InfeasibleError when the signs disagree;
     CapacityError for k over ORBIT_DIM_MAX, before any k x k or n! x k array exists."""
     n = group_core.validate_box_count(n)
-    constraints = list(constraints)
+    constraints = as_items(constraints, Constraint, "constraints")
     for c in constraints:
         if c.pair.y >= n:
             raise ValidationError(f"constraint pair {c.pair} invalid for n = {n}")
@@ -177,7 +177,8 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     constraint eigenspace; the state is the canonical top eigenvector
     mapped back to the full space and is verified against every constraint.
     """
-    constraints = list(constraints)
+    objective = as_instance(objective, Objective, "objective")
+    constraints = as_items(constraints, Constraint, "constraints")
     column, entry, k = constraint_orbits(objective.n, constraints)
     # solved in units of max |c_XY|, so that symmetric_spectrum's tolerances,
     # absolute below unit scale, stay relative to the weights
@@ -209,12 +210,12 @@ def symmetric_ray_extreme(direction) -> float:
     underflow nor overflow.  Cross-validated by building the boundary state
     at that point and comparing its measured v-vector.
     """
-    d = np.asarray(direction, dtype=np.float64).reshape(-1)
+    d = as_array(direction, "direction")
     if d.shape != (3,):
         raise ValidationError(f"direction must have 3 components, got {d.shape}")
     scale = np.abs(d).max()
-    if holds_boolean(direction) or not np.isfinite(scale) or scale == 0.0:
-        raise ValidationError(f"direction must be a finite nonzero vector of numbers, got {direction!r}")
+    if scale == 0.0:
+        raise ValidationError("direction must be a nonzero vector")
     unit = d / scale
     unit_t = 1.0 / region.cone_norm(*region.frame_of_v(*unit.tolist()))
     t = unit_t / float(scale)  # Python floats: an overflow gives inf, not a warning
@@ -247,6 +248,7 @@ def random_search_max(
     evaluation is an expectation of an actual state, so the result is a
     certified lower bound on the true maximum.
     """
+    objective = as_instance(objective, Objective, "objective")
     samples, seed = as_count(samples, "samples"), as_seed(seed)
     if samples < SEARCH_RESTARTS * SEARCH_ROUNDS:
         raise ValidationError("sample budget too small for the restart schedule")

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, holds_boolean
+from .errors import ConvergenceError, ValidationError, as_array, as_count, as_instance
 from .state3 import BOX_LETTERS, PAPER3_WORDS, exchange_mappings, factorial_dim, pair_order, validate_box_count
 
 Word = tuple[int, ...]
@@ -43,11 +43,15 @@ class Pair:
     y: int
 
     def __post_init__(self):
-        if holds_boolean((self.x, self.y)) or not (0 <= self.x < self.y):
-            raise ValidationError(f"pair requires 0 <= x < y, got ({self.x}, {self.y})")
+        x, y = as_count(self.x, "pair box"), as_count(self.y, "pair box")
+        if not 0 <= x < y:
+            raise ValidationError(f"pair requires 0 <= x < y, got ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @classmethod
     def of(cls, a: int, b: int) -> "Pair":
+        a, b = as_count(a, "pair box"), as_count(b, "pair box")
         if a == b:
             raise ValidationError(f"pair boxes must differ, got ({a}, {b})")
         return cls(min(a, b), max(a, b))
@@ -65,10 +69,14 @@ class Pair:
         return self.label()
 
 
-@lru_cache(maxsize=None)
 def canonical_pairs(n: int) -> tuple[Pair, ...]:
     """Pair order of weight vectors and v-vectors, state3.pair_order's: for
     n = 3, (AB, BC, AC), as in v = (v_AB, v_BC, v_AC), else lexicographic."""
+    return _canonical_pairs(validate_box_count(n))  # checked first: the cache hashes its arguments
+
+
+@lru_cache(maxsize=None)
+def _canonical_pairs(n: int) -> tuple[Pair, ...]:
     return tuple(Pair(a, b) for a, b in pair_order(n))
 
 
@@ -91,7 +99,11 @@ def parse_word(text: str) -> Word:
 
 
 def relabel(word: Word, pair: Pair) -> Word:
-    """Swap the two box labels of `pair` everywhere in the word."""
+    """Swap the two box labels of `pair` everywhere in the word. The pair must
+    name two of the word's boxes 0..len(word)-1: a swap with a box outside
+    them gives no word. The word's entries are not checked (validate_word does)."""
+    if not isinstance(word, (tuple, list)) or not isinstance(pair, Pair) or pair.y >= len(word):
+        raise ValidationError(f"relabel needs a pair of the word's boxes, got {pair!r} for word {word!r}")
     x, y = pair.x, pair.y
     return tuple(y if b == x else (x if b == y else b) for b in word)
 
@@ -160,12 +172,12 @@ class PermutationOperator:
     __slots__ = ("ordering", "mapping")
 
     def __init__(self, ordering: BasisOrdering, mapping):
-        mapping = np.asarray(mapping, dtype=np.int64)
+        ordering, mapping = as_instance(ordering, BasisOrdering, "ordering"), as_array(mapping, "mapping")
         identity = np.arange(ordering.dim)
         if mapping.shape != identity.shape or not np.array_equal(np.sort(mapping), identity):
             raise ValidationError("mapping is not a permutation of the basis")
         self.ordering = ordering
-        self.mapping = mapping
+        self.mapping = mapping.astype(np.int64)
         self.mapping.setflags(write=False)
 
     @property
@@ -234,6 +246,7 @@ class ExchangeOperator(PermutationOperator):
     __slots__ = ("pair",)
 
     def __init__(self, ordering: BasisOrdering, pair: Pair):
+        ordering, pair = as_instance(ordering, BasisOrdering, "ordering"), as_instance(pair, Pair, "pair")
         if pair.y >= ordering.n:
             raise ValidationError(f"pair {pair} invalid for n = {ordering.n}")
         swap = np.arange(ordering.n)
@@ -244,10 +257,17 @@ class ExchangeOperator(PermutationOperator):
             raise ConvergenceError("exchange mapping must be a fixed-point-free involution")
 
 
-@lru_cache(maxsize=None)
 def exchange_operator(n: int, pair: Pair) -> ExchangeOperator:
     """The exchange operator for one box pair on the canonical basis."""
+    return _exchange_operator(validate_box_count(n), as_instance(pair, Pair, "pair"))  # checked before hashing
+
+
+@lru_cache(maxsize=None)
+def _exchange_operator(n: int, pair: Pair) -> ExchangeOperator:
     return ExchangeOperator(BasisOrdering.canonical(n), pair)
+
+
+exchange_operator.cache_info = _exchange_operator.cache_info  # perfbench/tracer.py reads the hit ratio here
 
 
 def all_exchange_operators(n: int) -> tuple[ExchangeOperator, ...]:

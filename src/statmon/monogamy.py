@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import state3
-from .errors import CapacityError, ValidationError, as_count, as_seed
+from .errors import CapacityError, ValidationError, as_array, as_count, as_seed
 from .region import (
     MEMBERSHIP_TOL,
     RegionCheck,
@@ -72,8 +72,8 @@ class SurfaceMesh(Sequence):
     """
 
     def __init__(self, thetas, phis):
-        self.thetas = np.array(thetas, dtype=np.float64)
-        self.phis = np.array(phis, dtype=np.float64)
+        self.thetas = as_array(thetas, "thetas")
+        self.phis = as_array(phis, "phis")
         count = 4 * self.thetas.size * self.phis.size
         rows = state3.boundary_rows(self.thetas.tolist(), self.phis.tolist())
         rows = np.fromiter(((amplitudes, v) for amplitudes, v, _ in rows), _ROW, count)
@@ -123,6 +123,8 @@ def write_mesh_csv(points: SurfaceMesh, stream) -> None:
     v_AB,v_BC,v_AC,theta,phi,s1,s2 at 12 significant digits, in blocks.
     The v-rows become Python floats one block at a time, so memory beyond
     the mesh's arrays stays bounded."""
+    if not all(hasattr(points, name) for name in ("thetas", "phis", "v")) or not hasattr(stream, "write"):
+        raise ValidationError(f"expected a mesh and a writable stream, got {points!r:.80} and {stream!r:.80}")
     block = state3.CSV_BLOCK_ROWS
     v_rows = itertools.chain.from_iterable(
         points.v[start : start + block].tolist() for start in range(0, len(points), block)

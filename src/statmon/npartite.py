@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import extremal, group_core, region, states
-from .errors import ConvergenceError, InfeasibleError, ValidationError
+from .errors import ConvergenceError, InfeasibleError, ValidationError, as_instance, as_items
 
 PATTERN_TOL = 1e-9
 BOUND_PREDICATE_TOL = 1e-12
@@ -33,9 +33,12 @@ class ScenarioGraph:
         n = group_core.validate_box_count(self.n)
         if n < 3:
             raise ValidationError("scenario graphs need at least 3 boxes")
+        edges = as_items(self.fixed, tuple, "fixed edges")
+        if any(len(edge) != 2 for edge in edges):
+            raise ValidationError(f"fixed edges must be (pair, sign) pairs, got {self.fixed!r}")
         # the constraint rule: exactly +-1, never a float rounded to it
-        fixed = tuple((c.pair, c.value) for c in (extremal.Constraint(p, v) for p, v in self.fixed))
-        free = tuple(self.free)
+        fixed = tuple((c.pair, c.value) for c in (extremal.Constraint(*edge) for edge in edges))
+        free = tuple(as_items(self.free, group_core.Pair, "free edges"))
         typed = [("fixed", p) for p, _ in fixed] + [("free", p) for p in free]
         for kind, pair in typed:
             if pair.y >= n:
@@ -58,7 +61,7 @@ class ScenarioGraph:
             n = obj["n"]
             fixed_raw = obj.get("fixed", {})
             free_raw = obj.get("free", [])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, IndexError) as exc:
             raise ValidationError(f"malformed scenario JSON: {exc}") from None
         if not isinstance(fixed_raw, dict) or not isinstance(free_raw, list):
             raise ValidationError('scenario "fixed" must be an object and "free" a list')
@@ -157,7 +160,7 @@ def triangle_bounds(graph: ScenarioGraph) -> float:
     unconstrained edge are skipped.  With no contributing triangle the bound
     is 1, since every v lies in [-1, 1].
     """
-    if not graph.free:
+    if not as_instance(graph, ScenarioGraph, "scenario").free:
         raise ValidationError("scenario has no free edges; nothing to bound")
     signs, free = _pattern(graph)
     typed = free | (signs != 0)
@@ -186,7 +189,7 @@ def spectral_bound(graph: ScenarioGraph) -> ScenarioBound:
     lambda reaches F.  The top eigenstate's v-vector is checked against the
     scenario pattern.
     """
-    signs, free = _pattern(graph)
+    signs, free = _pattern(as_instance(graph, ScenarioGraph, "scenario"))
     top = extremal.max_expectation(extremal.Objective(graph.n, np.where(free, -1.0, signs)))
     lam, v = top.value, top.v
     n_fixed, n_free = len(graph.fixed), len(graph.free)
@@ -218,7 +221,7 @@ def scenario_report(graph: ScenarioGraph) -> ScenarioBound:
     that no state meets raise InfeasibleError, which neither bound catches:
     the triangles test only fully typed triples, and spectral_bound relaxes
     the fixed edges to objective weights."""
-    tri = triangle_bounds(graph) if graph.free else None
+    tri = triangle_bounds(graph) if as_instance(graph, ScenarioGraph, "scenario").free else None
     if graph.free:
         extremal.constraint_orbits(graph.n, [extremal.Constraint(p, v) for p, v in graph.fixed])
     spectral = spectral_bound(graph)

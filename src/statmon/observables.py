@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import group_core, region, state3
-from .errors import ContractError, ConvergenceError, ValidationError, as_real
+from .errors import ContractError, ConvergenceError, ValidationError, as_array, as_real
 from .state3 import validate_angle as _validate_angle
 from .states import MixedState, PureState
 
@@ -33,7 +33,7 @@ def _as_operator(op, dim: int):
         if not op.is_involution():
             raise ContractError("permutation operator is not Hermitian (not an involution)")
         return op.mapping, None
-    M = np.asarray(op, dtype=np.complex128)
+    M = as_array(op, "operator", complex, ndim=2)
     if M.shape != (dim, dim):
         raise ValidationError(f"operator shape {M.shape} does not match state dimension {dim}")
     if np.abs(M - M.conj().T).max(initial=0.0) > HERMITICITY_TOL:

@@ -133,12 +133,11 @@ EXCHANGE_PAIRS3 = exchange_pairs(3)
 
 
 def parse_sign(value) -> int:
-    """+1 or -1 from a number equal to it (Python or numpy, not a boolean) or "+" / "-"."""
-    if not holds_boolean(value) and value in (+1, -1):
-        return int(value)
-    if value in ("+", "-"):
-        return 1 if value == "+" else -1
-    raise ValidationError(f"sign must be +1 or -1, got {value!r}")
+    """+1 or -1 from "+" / "-" or a number equal to it, read by as_real."""
+    sign = {"+": 1.0, "-": -1.0}.get(value) if isinstance(value, str) else as_real(value, "sign")
+    if sign not in (1.0, -1.0):
+        raise ValidationError(f"sign must be +1 or -1, got {value!r}")
+    return int(sign)
 
 
 def sign_index(s) -> int:
@@ -158,6 +157,8 @@ def validate_angle(theta: float, upper: float, name: str, inclusive: bool = Fals
 def named_amplitudes(name: str, **params) -> tuple[complex, ...]:
     """Paper3-order amplitudes of a catalog state: chi takes the keywords
     CHI_PARAMS, every other name none."""
+    if not isinstance(name, str):
+        raise ValidationError(f"state name must be text, got {name!r}")
     if name == "chi":
         if unexpected := [k for k in params if k not in CHI_PARAMS]:
             raise ValidationError(f"chi takes only theta, phi, s1 and s2; unexpected {', '.join(unexpected)}")
@@ -202,7 +203,7 @@ def read_state(obj) -> tuple[int, list[complex]]:
         n = validate_box_count(obj["n"])
         kind = obj["ordering"]
         raw = obj["amplitudes"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise ValidationError(f"malformed state JSON: {exc}") from None
     if kind not in ("paper3", "lex"):
         raise ValidationError(f"unknown ordering {kind!r}")

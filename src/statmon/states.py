@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from . import eigh, group_core, state3
-from .errors import CapacityError, ValidationError, as_seed, holds_boolean
+from .errors import CapacityError, ValidationError, as_array, as_instance, as_items, as_real, as_seed
 from .state3 import NAMED_STATES, gaussian_parts  # NAMED_STATES: the names named_state takes
 
 HERMITICITY_TOL = 1e-9
@@ -30,9 +30,7 @@ class PureState:
 
     def __init__(self, n: int, amplitudes):
         n = group_core.validate_box_count(n)
-        if holds_boolean(amplitudes):  # numpy reads true as 1
-            raise ValidationError("amplitudes must be numbers, not booleans")
-        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+        amps = as_array(amplitudes, "amplitudes", complex)
         state3.check_amplitudes(n, amps.tolist())
         self.n = n
         self.amplitudes = amps
@@ -63,16 +61,11 @@ def normalize(amplitudes, n: int | None = None) -> PureState:
     unchanged up to roundoff.
     """
     if isinstance(amplitudes, PureState):
-        n = amplitudes.n
-        amps = np.array(amplitudes.amplitudes)
+        n, amps = amplitudes.n, amplitudes.amplitudes
     else:
-        if holds_boolean(amplitudes):
-            raise ValidationError("amplitudes must be numbers, not booleans")
-        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+        amps = as_array(amplitudes, "amplitudes", complex)
         if n is None:
             n = _boxes_from_dim(amps.shape[0])
-    if not np.isfinite(amps).all():
-        raise ValidationError("amplitudes contain non-finite entries")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(amps)
     if norm == 0.0 or np.isinf(norm):
@@ -89,6 +82,7 @@ def normalize(amplitudes, n: int | None = None) -> PureState:
 
 def apply(op: group_core.PermutationOperator, state: PureState) -> PureState:
     """Apply a basis-permuting operator: output[mapping[i]] = input[i]."""
+    op, state = as_instance(op, group_core.PermutationOperator, "operator"), as_instance(state, PureState, "state")
     if op.dim != state.dim or op.n != state.n:
         raise ValidationError(f"operator dimension {op.dim} does not match state {state.dim}")
     out = np.empty_like(state.amplitudes)
@@ -98,6 +92,7 @@ def apply(op: group_core.PermutationOperator, state: PureState) -> PureState:
 
 def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
     """Physical equality: overlap modulus within tol of 1."""
+    a, b, tol = as_instance(a, PureState, "state"), as_instance(b, PureState, "state"), as_real(tol, "tolerance")
     if a.n != b.n:
         return False
     return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
@@ -147,7 +142,7 @@ class MixedState:
     def __init__(self, n: int, matrix):
         n = group_core.validate_box_count(n)
         dim = _check_density_capacity(n)
-        rho = np.array(matrix, dtype=np.complex128)
+        rho = as_array(matrix, "density matrix", complex, ndim=2, finite=False)
         if rho.shape != (dim, dim):
             raise ValidationError(f"expected a {dim}x{dim} matrix for n = {n}, got {rho.shape}")
         # a PSD unit-trace matrix has |rho_ij| <= 1: a larger entry could overflow
@@ -175,12 +170,10 @@ class MixedState:
     @classmethod
     def from_mixture(cls, weights, states) -> "MixedState":
         """Convex mixture of pure-state projectors."""
-        w = np.asarray(weights, dtype=np.float64)
-        states = list(states)
-        if w.ndim != 1 or len(states) != w.shape[0] or w.shape[0] == 0:
+        w = as_array(weights, "mixture weights")
+        states = as_items(states, PureState, "mixture components")
+        if len(states) != w.shape[0] or w.shape[0] == 0:
             raise ValidationError("weights and states must be equally many and nonempty")
-        if holds_boolean(weights) or not np.isfinite(w).all():
-            raise ValidationError(f"mixture weights must be finite numbers, got {weights!r}")
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError("mixture weights must be nonnegative and sum to 1")
         n = states[0].n
@@ -208,6 +201,7 @@ def named_state(name: str, **params) -> PureState:
 
 def state_to_jsonable(state: PureState) -> dict:
     """Schema: {"n": int, "ordering": "paper3"|"lex", "amplitudes": [[re, im], ...]}."""
+    state = as_instance(state, PureState, "state")
     return state3.state_jsonable(state.n, state.amplitudes)
 
 

@@ -162,4 +162,5 @@ def test_entries_near_float_max_do_not_overflow():
     dec = symmetric_spectrum(A)
     assert np.allclose(dec.eigenvalues, [np.sqrt(2.0) * 1e308, -np.sqrt(2.0) * 1e308], rtol=1e-12, atol=0.0)
     assert dec.residual < eigh.RESIDUAL_TOL * 1e308
+    assert dec.min_gap == np.inf  # 2.8e308 is past float range: inf, with no overflow warning
     assert abs(hermitian_min_eigenvalue(A) + np.sqrt(2.0) * 1e308) < 1e-12 * 1e308
