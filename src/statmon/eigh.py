@@ -67,24 +67,20 @@ class SpectralDecomposition:
 def _canonical_vector(block: np.ndarray) -> np.ndarray:
     """Unit vector in the column span of `block` that depends only on that span.
 
-    A single column is taken as it is.  Otherwise it is P e_i / |P e_i|, with
-    P = block block^T, for the first i with |P e_i| >= 0.5/sqrt(d): the
-    squared norms of P's d columns sum to the span's dimension, so one
-    reaches 1/sqrt(d) unless the block has lost rank.
+    A single column is taken as it is.  Otherwise it is B b_i / |b_i| for
+    B = `block`, its rows b_i and the first i with |b_i| >= 0.5/sqrt(d): the
+    projector's column P e_i / |P e_i|, as P = B B^T.  The squared row norms
+    sum to the span's dimension, so one reaches 1/sqrt(d) unless B lost rank.
     """
     d, k = block.shape
     if k == 1:
         v = block[:, 0].copy()
     else:
-        P = block @ block.T
-        floor = 0.5 / np.sqrt(d)
-        for i in range(d):
-            norm = np.linalg.norm(P[:, i])
-            if norm >= floor:
-                v = P[:, i] / norm
-                break
-        else:
+        norms = np.linalg.norm(block, axis=1)
+        reached = np.flatnonzero(norms >= 0.5 / np.sqrt(d))
+        if not reached.size:
             raise ConvergenceError(f"eigenvector cluster of size {k} has lost rank")
+        v = block @ block[reached[0]] / norms[reached[0]]
     # components tie within roundoff in S_n-symmetric operators: the lowest index decides
     mags = np.abs(v)
     if v[np.argmax(mags >= mags.max() - SIGN_TIE_TOL)] < 0.0:

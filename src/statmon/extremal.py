@@ -156,9 +156,11 @@ def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
 
 
 def constraint_projector(n: int, constraints) -> np.ndarray:
-    """Orthogonal projector onto the joint constraint eigenspace."""
-    basis = joint_eigenspace_basis(n, constraints)
-    return basis @ basis.T
+    """Orthogonal projector onto the joint constraint eigenspace: B B^T for its orbit basis B,
+    so entry[w] entry[w'] for words w, w' of one orbit and 0 otherwise."""
+    column, entry, _ = constraint_orbits(n, constraints)  # an empty or too large space is refused first
+    group_core.check_dense_capacity(n, "a constraint projector")
+    return np.where(column[:, None] == column, np.outer(entry, entry), 0.0)
 
 
 def restricted_matrix(n: int, weights, column, entry, k: int) -> np.ndarray:

@@ -10,15 +10,28 @@ which keeps every group identity exact in integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, as_array, as_count, as_instance
+from .errors import CapacityError, ConvergenceError, ValidationError, as_array, as_count, as_instance
 from .state3 import BOX_LETTERS, PAPER3_WORDS, exchange_mappings, factorial_dim, pair_order, validate_box_count
 
 Word = tuple[int, ...]
+DENSE_MAX_BYTES = 2**24  # n! x n! arrays built at once: n = 6 takes 4.1 MB real, 8.3 MB complex; n = 7 0.2 GB real
+
+
+def check_dense_capacity(n: int, what: str, itemsize: int = 8) -> int:
+    """n! when `what`, n! x n! entries of `itemsize` bytes, fits DENSE_MAX_BYTES;
+    CapacityError, before anything of that size is allocated, otherwise."""
+    dim = factorial_dim(n)
+    if dim * dim * itemsize > DENSE_MAX_BYTES:
+        raise CapacityError(
+            f"{what} for n = {n} would take {dim * dim * itemsize} bytes, over the {DENSE_MAX_BYTES}-byte budget"
+        )
+    return dim
 
 
 def box_letter(index: int) -> str:
@@ -189,6 +202,7 @@ class PermutationOperator:
         return self.ordering.dim
 
     def matrix(self) -> np.ndarray:
+        check_dense_capacity(self.n, "a permutation matrix")
         M = np.zeros((self.dim, self.dim))
         M[self.mapping, np.arange(self.dim)] = 1.0
         return M
@@ -310,8 +324,8 @@ def exchange_matrix(n: int, weights) -> np.ndarray:
     Distinct exchanges send a word to distinct words, so every entry is one
     weight or zero and a single scatter builds the sum.
     """
-    dim = factorial_dim(n)
     weights = np.asarray(weights, dtype=np.float64)
+    dim = check_dense_capacity(n, "exchange matrices", 8 * math.prod(weights.shape[:-1]))
     M = np.zeros(weights.shape[:-1] + (dim, dim))
     M[..., exchange_table(n).mappings, np.arange(dim)] = weights[..., None]
     return M

@@ -103,6 +103,8 @@ class SurfaceMesh(Sequence):
 def surface_state(theta: float, phi: float, s1, s2) -> SurfacePoint:
     """Construct the boundary state for the given parameters and verify that
     its v-vector sits on the region surface to within 1e-9."""
+    theta = state3.validate_angle(theta, 2.0 * np.pi, "theta")  # so a refusal names the angle, not the mesh's list
+    phi = state3.validate_angle(phi, np.pi / 2.0, "phi", inclusive=True)
     row = 2 * state3.sign_index(s1) + state3.sign_index(s2)
     return SurfaceMesh([theta], [phi])[row]
 

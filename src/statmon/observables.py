@@ -83,17 +83,14 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
     out = np.empty((len(amps), len(lo)))
     if not len(lo):
         return out
-    # one real row per state: the amplitudes, or their real and imaginary
-    # parts interleaved, so part p of amplitude k sits in column parts*k + p
-    if np.iscomplexobj(amps):
-        flat, parts = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64), 2
-    else:
-        flat, parts = np.ascontiguousarray(amps, dtype=np.float64), 1
-    # flat column indices ordered (part, k < m(k), pair)
-    lo, hi = ((parts * ix.T + np.arange(parts)[:, None, None]).ravel() for ix in (lo, hi))
+    # one real row per state, its amplitudes' real and imaginary parts
+    # interleaved: part p of amplitude k sits in column 2k + p. Flat column
+    # indices are ordered (part, k < m(k), pair).
+    lo, hi = ((2 * ix.T + np.arange(2)[:, None, None]).ravel() for ix in (lo, hi))
     step = max(2, ROW_BLOCK_BYTES // (8 * lo.size))
     for start in range(0, len(amps), step):
-        block = flat[start:start + step].T
+        # read per block, so a real batch's complex copy stays block-sized
+        block = np.ascontiguousarray(amps[start:start + step], dtype=np.complex128).view(np.float64).T
         # Rows and pairs run along the contiguous axis, so both sums add each
         # row's terms one after another in index order: a row gets the same
         # bits in any batch. A lone row is doubled, because numpy adds the
@@ -101,7 +98,7 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
         cols = np.ascontiguousarray(block if block.shape[1] > 1 else np.repeat(block, 2, axis=1))
         prod = np.take(cols, lo, axis=0)
         prod *= np.take(cols, hi, axis=0)
-        terms = prod.reshape(parts, -1).sum(axis=0)
+        terms = prod.reshape(2, -1).sum(axis=0)
         sums = terms.reshape(-1, out.shape[1], cols.shape[1]).sum(axis=0)
         out[start:start + step] = sums[:, :block.shape[1]].T
     out *= 2.0

@@ -212,12 +212,10 @@ def w_projection_consistency():
 def perfect_simulation_transitive():
     """Near-perfect bosonic (fermionic) AB and BC force the same for AC."""
     rng = np.random.default_rng(77)
-    # per base state, 25 draws of six real then six imaginary parts
-    draws = rng.standard_normal((2, 25, 2, 6))
     eps = 1e-7
-    for base_name, sign, parts in zip(("sym_plus", "antisym_minus"), (1.0, -1.0), draws):
+    for base_name, sign in (("sym_plus", 1.0), ("antisym_minus", -1.0)):
         base = states.named_state(base_name).amplitudes
-        noise = parts[:, 0] + 1j * parts[:, 1]
+        noise = states.gaussian_amplitudes(3, 25, rng)
         noise -= (noise @ base.conj())[:, None] * base
         noise /= np.linalg.norm(noise, axis=1, keepdims=True)
         V = observables.exchange_rows(np.sqrt(1 - eps**2) * base + eps * noise, 3)
@@ -230,13 +228,8 @@ def perfect_simulation_transitive():
 def eigenvector_constraint_lemma():
     """<Pi> = 1 - eps iff ||Pi psi - psi||^2 = 2 eps, exactly."""
     op = group_core.exchange_operator(3, group_core.Pair(0, 1))
-    rng = np.random.default_rng(88)
     tol = 1e-6
-    # 50 states of six real then six imaginary parts each, normalized as
-    # states.random_amplitudes does
-    parts = rng.standard_normal((50, 2, 6))
-    amps = parts[:, 0] + 1j * parts[:, 1]
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    amps = states.random_amplitudes(3, 50, np.random.default_rng(88))
     v = observables.exchange_rows(amps, 3, [op.pair])[:, 0]
     moved = np.empty_like(amps)
     moved[:, op.mapping] = amps  # states.apply on every row
@@ -605,17 +598,19 @@ def _sampled_minimum(n: int, constraints, pairs, count: int, seed: int) -> float
     """Lowest <Pi_XY> over `pairs` among `count` unit states drawn uniformly
     from the joint eigenspace of `constraints`.
 
-    A state is B z for the eigenspace basis B and a complex Gaussian z =
-    x + iy, so <Pi_XY> = (x.G x + y.G y) / (x.x + y.y) with the d x d form
-    G = B^T (Pi_XY B): no draw is normalized or expanded to n! amplitudes.
-    Every real part is drawn first; the imaginary parts are then drawn and
-    evaluated one block of SAMPLE_BLOCK_ROWS at a time.
+    A state is B z for the eigenspace's orbit basis B and a complex Gaussian
+    z = x + iy, so <Pi_XY> = (x.G x + y.G y) / (x.x + y.y) with the k x k
+    form G = B^T (Pi_XY B), which restricted_matrix scatters for a unit
+    weight on XY: no draw is normalized or expanded to n! amplitudes, and B
+    is never built.  Every real part is drawn first; the imaginary parts are
+    then drawn and evaluated one block of SAMPLE_BLOCK_ROWS at a time.
     """
-    basis = extremal.joint_eigenspace_basis(n, constraints)
+    column, entry, k = extremal.constraint_orbits(n, constraints)
     table = group_core.exchange_table(n)
-    forms = [basis.T @ basis[table.mappings[table.row[p]]] for p in pairs]
+    unit = np.eye(len(table.row))
+    forms = [extremal.restricted_matrix(n, unit[table.row[p]], column, entry, k) for p in pairs]
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal((count, basis.shape[1]))
+    re = rng.standard_normal((count, k))
     lowest = np.inf
     for start in range(0, count, SAMPLE_BLOCK_ROWS):
         x = re[start:start + SAMPLE_BLOCK_ROWS]

@@ -7,13 +7,14 @@ import math
 import numpy as np
 
 from . import eigh, group_core, state3
-from .errors import CapacityError, ValidationError, as_array, as_instance, as_items, as_real, as_seed
+from .errors import ValidationError, as_array, as_instance, as_items, as_real, as_seed
+from .group_core import check_dense_capacity
 from .state3 import NAMED_STATES, gaussian_parts  # NAMED_STATES: the names named_state takes
 
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
-DENSITY_MAX_BYTES = 2**24  # one n! x n! complex density matrix: n = 6 takes 8.3 MB, n = 7 0.4 GB
+DENSITY_MAX_BYTES = group_core.DENSE_MAX_BYTES  # the byte budget of a density matrix
 
 
 def _boxes_from_dim(dim: int) -> int:
@@ -30,7 +31,7 @@ class PureState:
 
     def __init__(self, n: int, amplitudes):
         n = group_core.validate_box_count(n)
-        amps = as_array(amplitudes, "amplitudes", complex)
+        amps = as_array(amplitudes, "amplitudes", complex, finite=False)  # check_amplitudes refuses NaN and inf
         state3.check_amplitudes(n, amps.tolist())
         self.n = n
         self.amplitudes = amps
@@ -48,6 +49,7 @@ class PureState:
         return float(np.linalg.norm(self.amplitudes))
 
     def projector(self) -> np.ndarray:
+        check_dense_capacity(self.n, "a projector", 16)
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def __repr__(self):
@@ -123,17 +125,6 @@ def random_pure_state(n: int, seed: int) -> PureState:
     return PureState(n, random_amplitudes(n, 1, rng)[0])
 
 
-def _check_density_capacity(n: int) -> int:
-    """n! for a density matrix within DENSITY_MAX_BYTES; CapacityError otherwise."""
-    dim = group_core.factorial_dim(n)
-    if dim * dim * 16 > DENSITY_MAX_BYTES:
-        raise CapacityError(
-            f"a density matrix for n = {n} takes {dim * dim * 16} bytes, "
-            f"over the {DENSITY_MAX_BYTES}-byte budget"
-        )
-    return dim
-
-
 class MixedState:
     """Hermitian, unit-trace, positive-semidefinite density matrix."""
 
@@ -141,7 +132,7 @@ class MixedState:
 
     def __init__(self, n: int, matrix):
         n = group_core.validate_box_count(n)
-        dim = _check_density_capacity(n)
+        dim = check_dense_capacity(n, "a density matrix", 16)
         rho = as_array(matrix, "density matrix", complex, ndim=2, finite=False)
         if rho.shape != (dim, dim):
             raise ValidationError(f"expected a {dim}x{dim} matrix for n = {n}, got {rho.shape}")
@@ -177,7 +168,7 @@ class MixedState:
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError("mixture weights must be nonnegative and sum to 1")
         n = states[0].n
-        dim = _check_density_capacity(n)
+        dim = check_dense_capacity(n, "a density matrix", 16)
         rho = np.zeros((dim, dim), dtype=np.complex128)
         for wk, psi in zip(w, states):
             if psi.n != n:

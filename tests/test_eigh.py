@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from statmon import eigh
 from statmon.eigh import hermitian_min_eigenvalue, symmetric_spectrum
-from statmon.errors import ContractError
+from statmon.errors import ContractError, ConvergenceError
 from statmon.extremal import Objective
 
 
@@ -114,7 +114,7 @@ def test_cluster_basis_independent_of_solver_basis():
     rng = np.random.default_rng(5)
     Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     random_clusters = Q @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0, 0.5]) @ Q.T
-    # n = 4 objective: a 12-fold top cluster and eigenvectors whose largest
+    # n = 4 objective: a 3-fold top cluster and eigenvectors whose largest
     # components tie, which the sign rule must resolve the same way each time
     triangle = Objective.from_pairs(
         4, {"AB": 1, "AC": 1, "BC": 1, "AD": -1, "BD": -1, "CD": -1}
@@ -129,6 +129,41 @@ def test_cluster_basis_independent_of_solver_basis():
         for _ in range(5):
             R, _ = np.linalg.qr(rng.standard_normal((top.shape[1], top.shape[1])))
             assert np.abs(eigh._canonical_vector(top @ R) - reference.top_vector).max() < 1e-12
+
+
+def _projector_column_vector(block):
+    """The construction _canonical_vector replaces: P = block block^T built,
+    then its first column of norm >= 0.5/sqrt(d), normalized and signed."""
+    d = block.shape[0]
+    P = block @ block.T
+    i = next(i for i in range(d) if np.linalg.norm(P[:, i]) >= 0.5 / np.sqrt(d))
+    v = P[:, i] / np.linalg.norm(P[:, i])
+    mags = np.abs(v)
+    return -v if v[np.argmax(mags >= mags.max() - eigh.SIGN_TIE_TOL)] < 0.0 else v
+
+
+def test_canonical_vector_is_the_projector_column():
+    rng = np.random.default_rng(7)
+    blocks = []
+    for d in (6, 12, 24, 48):
+        for k in range(1, 7):
+            Q, _ = np.linalg.qr(rng.standard_normal((d, k)))
+            blocks.append(Q)
+    # n = 4 triangle objective: clusters of 3 and 6 at -4, -2, 0, 2 and 4, in LAPACK's basis
+    triangle = Objective.from_pairs(4, {"AB": 1, "AC": 1, "BC": 1, "AD": -1, "BD": -1, "CD": -1}).matrix()
+    values, vectors = np.linalg.eigh(triangle)
+    for value in (-4.0, -2.0, 0.0, 2.0, 4.0):
+        blocks.append(vectors[:, np.abs(values - value) < 1e-9])
+        assert blocks[-1].shape[1] == (3 if abs(value) == 4.0 else 6)
+    for block in blocks:
+        got = eigh._canonical_vector(block)
+        assert np.abs(got - _projector_column_vector(block)).max() < 1e-12
+        assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+
+
+def test_canonical_vector_refuses_a_block_that_lost_rank():
+    with pytest.raises(ConvergenceError, match="lost rank"):
+        eigh._canonical_vector(np.zeros((6, 2)))
 
 
 def test_near_degenerate_cluster_keeps_contract():

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from statmon import group_core as gc
 from statmon import selftest
+from statmon.extremal import Constraint, Objective, constraint_projector
+from statmon.states import PureState
 from statmon.errors import CapacityError, ValidationError
 
 
@@ -131,6 +135,38 @@ def test_capacity_limits():
         gc.BasisOrdering.canonical(8)
     with pytest.raises(CapacityError):
         gc.BasisOrdering.canonical(1)
+
+
+def _dense_builds(n):
+    """Every n! x n! build, as a call with its operands made beforehand."""
+    e0 = np.zeros(gc.factorial_dim(n))
+    e0[0] = 1.0
+    constraints = [Constraint(gc.Pair.parse(p), +1) for p in ("AB", "BC", "CD")]
+    return {
+        "objective-matrix": Objective.from_pairs(n, {"AB": 1}).matrix,
+        "constraint-projector": lambda: constraint_projector(n, constraints),
+        "exchange-operator-matrix": gc.exchange_operator(n, gc.Pair(0, 1)).matrix,
+        "pure-state-projector": PureState(n, e0).projector,
+    }
+
+
+@pytest.mark.parametrize("build", sorted(_dense_builds(3)))
+def test_dense_builds_are_refused_before_allocating_at_seven_boxes(build):
+    # without the gate these peak at 195-406 MB
+    call = _dense_builds(7)[build]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="over the 16777216-byte budget"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("build", sorted(_dense_builds(3)))
+def test_dense_builds_of_six_boxes_stay_within_the_budget(build):
+    assert _dense_builds(6)[build]().shape == (720, 720)
 
 
 def test_pair_parsing_and_order():

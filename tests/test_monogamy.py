@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,27 @@ def test_surface_state_examples():
     assert np.abs(anti_apex.v + 1.0).max() < 1e-12
     equator = mg.surface_state(0.0, np.pi / 2.0, +1, +1)
     assert np.abs(equator.v - np.array([1.0, -0.5, -0.5])).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "theta, phi, message",
+    [
+        ("a", 0.0, "theta must be a number, got 'a'"),
+        (0.0, "b", "phi must be a number, got 'b'"),
+        ([0.5], 0.0, "theta must be a number"),
+        (2.0 * np.pi, 0.0, "theta must lie in"),
+        (0.0, np.pi / 2.0 + 1e-9, "phi must lie in"),
+    ],
+)
+def test_surface_state_names_the_scalar_angle_it_refuses(theta, phi, message):
+    # the one-point mesh would speak of lists: "thetas must be real numbers, got ['a']"
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        mg.surface_state(theta, phi, +1, +1)
+
+
+def test_surface_state_accepts_the_mesh_ranges():
+    for theta, phi in ((0.0, 0.0), (np.nextafter(2.0 * np.pi, 0.0), np.pi / 2.0), (1, np.float32(0.5))):
+        assert abs(mg.check_sqrt(mg.surface_state(theta, phi, -1, +1).v)) < 1e-9
 
 
 def test_surface_mesh_properties():

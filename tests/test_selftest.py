@@ -97,3 +97,20 @@ def test_dense_expectations_match_the_matrix_branch_row_by_row(seed, count):
         state = states.PureState(3, row)
         for M, value in zip(matrices, values):
             assert abs(value - observables.expectation(state, M)) <= 1e-15
+
+
+def test_selftest_eigensolves_stay_at_dimension_25_or_less(monkeypatch):
+    # LAPACK's divide-and-conquer eigh, which starts threaded BLAS, runs from
+    # dimension 26; the selftest keeps to the small path
+    dims = []
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        solve = getattr(np.linalg, name)
+
+        def traced(a, *args, solve=solve, **kwargs):
+            dims.append(np.shape(a)[-1])
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, traced)
+    results = selftest.run_selftest()
+    assert all(result.passed for result in results)
+    assert dims and max(dims) <= 25, max(dims)
