@@ -117,14 +117,32 @@ def max_expectation(objective: Objective) -> ExtremalResult:
     return constrained_extremal((), objective)
 
 
-def constraint_orbits(n: int, constraints) -> tuple[np.ndarray, np.ndarray, int]:
-    """The joint constraint eigenspace (psi[m(i)] = s psi[i] for each constrained exchange
-    mapping m and sign s) as orbits of words under the constrained swaps: each word's orbit
-    `column`, orbits in the order of their lowest words, its `entry` sign/sqrt(orbit size),
-    +1 on the lowest word, and the dimension k.  InfeasibleError when the signs disagree;
-    CapacityError for k over ORBIT_DIM_MAX, before any k x k or n! x k array exists."""
+@dataclass(frozen=True)
+class OrbitSpace:
+    """The joint constraint eigenspace (psi[m(i)] = s psi[i] for each constrained exchange m, sign s) in its
+    basis of word orbits under the constrained swaps: each word's orbit `column`, orbits in the order of their
+    lowest words, its `entry` sign/sqrt(orbit size), +1 on the lowest word, and the dimension k."""
+
+    n: int
+    constraints: tuple[Constraint, ...]
+    column: np.ndarray
+    entry: np.ndarray
+    k: int
+
+    def matrix(self, weights) -> np.ndarray:
+        """B^T (sum_p c_p Pi_p) B for one unchecked weight c_p per canonical pair, by one scatter:
+        each exchange m_p and word w add c_p entry[w] entry[m_p(w)] at (column[w], column[m_p(w)]).
+        With no constraints B is the identity and each entry holds one weight, as in exchange_matrix."""
+        m, column, k = group_core.exchange_table(self.n).mappings, self.column, self.k
+        products = np.asarray(weights, dtype=np.float64)[:, None] * (self.entry * self.entry[m])
+        return np.bincount((column * k + column[m]).ravel(), products.ravel(), minlength=k * k).reshape(k, k)
+
+
+def orbit_space(n: int, constraints) -> OrbitSpace:
+    """The OrbitSpace of `constraints` at n boxes, from the exchange table with no eigensolve: InfeasibleError
+    if the signs disagree; CapacityError for k over ORBIT_DIM_MAX, before any k x k or n! x k array exists."""
     n = group_core.validate_box_count(n)
-    constraints = as_items(constraints, Constraint, "constraints")
+    constraints = tuple(as_items(constraints, Constraint, "constraints"))
     for c in constraints:
         if c.pair.y >= n:
             raise ValidationError(f"constraint pair {c.pair} invalid for n = {n}")
@@ -146,30 +164,21 @@ def constraint_orbits(n: int, constraints) -> tuple[np.ndarray, np.ndarray, int]
     _, column, size = np.unique(low, return_inverse=True, return_counts=True)
     if size.shape[0] > ORBIT_DIM_MAX:
         raise CapacityError(f"the constrained space of n = {n} has dimension {size.shape[0]}, over {ORBIT_DIM_MAX}")
-    return column, sign / np.sqrt(size[column]), size.shape[0]
+    return OrbitSpace(n, constraints, column, sign / np.sqrt(size[column]), size.shape[0])
 
 
 def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:
-    """Orthonormal basis of the joint constraint eigenspace: one column per orbit of constraint_orbits."""
-    column, entry, k = constraint_orbits(n, constraints)
-    return np.eye(k)[column] * entry[:, None]
+    """Orthonormal basis of the joint constraint eigenspace: one column per orbit of its OrbitSpace."""
+    space = orbit_space(n, constraints)
+    return np.eye(space.k)[space.column] * space.entry[:, None]
 
 
 def constraint_projector(n: int, constraints) -> np.ndarray:
     """Orthogonal projector onto the joint constraint eigenspace: B B^T for its orbit basis B,
     so entry[w] entry[w'] for words w, w' of one orbit and 0 otherwise."""
-    column, entry, _ = constraint_orbits(n, constraints)  # an empty or too large space is refused first
+    space = orbit_space(n, constraints)  # an empty or too large space is refused first
     group_core.check_dense_capacity(n, "a constraint projector")
-    return np.where(column[:, None] == column, np.outer(entry, entry), 0.0)
-
-
-def restricted_matrix(n: int, weights, column, entry, k: int) -> np.ndarray:
-    """B^T (sum_p c_p Pi_p) B for the orbit basis B of constraint_orbits, by one scatter: each
-    exchange m_p and word w add c_p entry[w] entry[m_p(w)] at (column[w], column[m_p(w)]).  With
-    no constraints B is the identity and each entry holds one weight, as in exchange_matrix."""
-    m = group_core.exchange_table(n).mappings
-    products = np.asarray(weights, dtype=np.float64)[:, None] * (entry * entry[m])
-    return np.bincount((column * k + column[m]).ravel(), products.ravel(), minlength=k * k).reshape(k, k)
+    return np.where(space.column[:, None] == space.column, np.outer(space.entry, space.entry), 0.0)
 
 
 def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
@@ -180,20 +189,19 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     mapped back to the full space and is verified against every constraint.
     """
     objective = as_instance(objective, Objective, "objective")
-    constraints = as_items(constraints, Constraint, "constraints")
-    column, entry, k = constraint_orbits(objective.n, constraints)
+    space = orbit_space(objective.n, constraints)
     # solved in units of max |c_XY|, so that symmetric_spectrum's tolerances,
     # absolute below unit scale, stay relative to the weights
     unit = float(np.abs(objective.weights).max())
     weights = objective.weights / unit
-    restricted = restricted_matrix(objective.n, weights, column, entry, k)
+    restricted = space.matrix(weights)
     # cluster at the full objective's scale, 1 in these units: the restriction
     # can be pure roundoff, as for AB - CD on the v_AB = v_CD = +1 eigenspace
     dec = replace(symmetric_spectrum(restricted), scale=1.0)
     top = float(dec.eigenvalues[0])
-    state = states.normalize((dec.top_vector[column] * entry).astype(np.complex128), objective.n)
+    state = states.normalize((dec.top_vector[space.column] * space.entry).astype(np.complex128), objective.n)
     v = observables.v_vector(state)
-    for c in constraints:
+    for c in space.constraints:
         got = v[group_core.exchange_table(objective.n).row[c.pair]]
         if abs(got - c.value) > RESULT_TOL:
             raise ConvergenceError(f"solution violates v_{c.pair} = {c.value:+d}: got {got}")

@@ -63,6 +63,9 @@ class ScenarioGraph:
             free_raw = obj.get("free", [])
         except (KeyError, TypeError, IndexError) as exc:
             raise ValidationError(f"malformed scenario JSON: {exc}") from None
+        unknown = [key for key in obj if key not in ("n", "fixed", "free")]
+        if unknown:
+            raise ValidationError(f'unknown scenario key "{unknown[0]}": a scenario has only "n", "fixed" and "free"')
         if not isinstance(fixed_raw, dict) or not isinstance(free_raw, list):
             raise ValidationError('scenario "fixed" must be an object and "free" a list')
         fixed = tuple(
@@ -223,7 +226,7 @@ def scenario_report(graph: ScenarioGraph) -> ScenarioBound:
     the fixed edges to objective weights."""
     tri = triangle_bounds(graph) if as_instance(graph, ScenarioGraph, "scenario").free else None
     if graph.free:
-        extremal.constraint_orbits(graph.n, [extremal.Constraint(p, v) for p, v in graph.fixed])
+        extremal.orbit_space(graph.n, [extremal.Constraint(p, v) for p, v in graph.fixed])
     spectral = spectral_bound(graph)
     improvement = None
     if tri is not None and spectral.spectral_bound is not None:

@@ -481,7 +481,7 @@ def orbit_basis_matches_dense_kernel():
     for all 27 sign patterns at n = 3 and 24 seeded ones at n = 4: the same
     verdicts and projectors, and entries exactly +-1/sqrt(orbit size) with
     +1 on each orbit's lowest word, columns in the order of those words.  On
-    each feasible pattern, the scattered restricted_matrix of a seeded
+    each feasible pattern, the scattered OrbitSpace.matrix of a seeded
     objective equals the dense B^T M B."""
     patterns = {
         3: np.array(list(itertools.product((0, 1, -1), repeat=3))),
@@ -505,7 +505,7 @@ def orbit_basis_matches_dense_kernel():
             assert np.array_equal(basis[lowest, np.arange(len(sizes))], 1.0 / np.sqrt(sizes))
             worst = max(worst, np.abs(basis @ basis.T - reference).max())
             objective = extremal.Objective(n, rng.standard_normal(len(row)))
-            scattered = extremal.restricted_matrix(n, objective.weights, *extremal.constraint_orbits(n, constraints))
+            scattered = extremal.orbit_space(n, constraints).matrix(objective.weights)
             worst_matrix = max(worst_matrix, np.abs(scattered - basis.T @ objective.matrix() @ basis).max())
             feasible += 1
     assert worst <= ALGEBRA_TOL and worst_matrix <= ALGEBRA_TOL
@@ -600,17 +600,17 @@ def _sampled_minimum(n: int, constraints, pairs, count: int, seed: int) -> float
 
     A state is B z for the eigenspace's orbit basis B and a complex Gaussian
     z = x + iy, so <Pi_XY> = (x.G x + y.G y) / (x.x + y.y) with the k x k
-    form G = B^T (Pi_XY B), which restricted_matrix scatters for a unit
+    form G = B^T (Pi_XY B), which OrbitSpace.matrix scatters for a unit
     weight on XY: no draw is normalized or expanded to n! amplitudes, and B
     is never built.  Every real part is drawn first; the imaginary parts are
     then drawn and evaluated one block of SAMPLE_BLOCK_ROWS at a time.
     """
-    column, entry, k = extremal.constraint_orbits(n, constraints)
+    space = extremal.orbit_space(n, constraints)
     table = group_core.exchange_table(n)
     unit = np.eye(len(table.row))
-    forms = [extremal.restricted_matrix(n, unit[table.row[p]], column, entry, k) for p in pairs]
+    forms = [space.matrix(unit[table.row[p]]) for p in pairs]
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal((count, k))
+    re = rng.standard_normal((count, space.k))
     lowest = np.inf
     for start in range(0, count, SAMPLE_BLOCK_ROWS):
         x = re[start:start + SAMPLE_BLOCK_ROWS]

@@ -128,7 +128,6 @@ def exchange_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((k, m) for k, m in enumerate(mapping) if k < m) for mapping in exchange_mappings(n))
 
 
-PAIR_LABELS3 = pair_labels(3)
 EXCHANGE_PAIRS3 = exchange_pairs(3)
 
 

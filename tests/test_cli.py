@@ -564,6 +564,7 @@ MALFORMED = {
     "scenario-fixed-half": ["scenario", "--file", {"n": 4, "fixed": {"AB": -0.5, "CD": 1}, "free": ["AC"]}],
     "scenario-fixed-boolean": ["scenario", "--file", {"n": 4, "fixed": {"AB": True, "CD": 1}, "free": ["AC"]}],
     "scenario-free-not-a-label": ["scenario", "--file", {"n": 4, "fixed": {"AB": 1}, "free": [1]}],
+    "scenario-misspelled-key": ["scenario", "--file", {"n": 4, "fix": {"AB": 1}, "free": ["CD"]}],
     "scenario-is-a-directory": ["scenario", "--file", "<dir>"],
     "state-n-not-a-number": ["v", "--state", {"n": "a", "ordering": "paper3", "amplitudes": []}],
     "state-too-few-amplitudes": ["v", "--state", {"n": 3, "ordering": "lex", "amplitudes": [[1, 0]]}],

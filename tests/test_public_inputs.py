@@ -113,9 +113,9 @@ TABLE = {
     "Objective.from_pairs": slots(N, st.dictionaries(pool("AB", "BC", "AC", "CD", "AD"), REAL, max_size=3)),
     "constrained_extremal": slots(CONSTRAINTS, OBJECTIVE),
     "constraint_projector": slots(N, CONSTRAINTS),
-    "extremal.constraint_orbits": slots(N, CONSTRAINTS),
     "joint_eigenspace_basis": slots(N, CONSTRAINTS),
     "max_expectation": slots(OBJECTIVE),
+    "extremal.orbit_space": slots(N, CONSTRAINTS),
     "random_search_max": slots(OBJECTIVE, st.integers(60, 200), SEED),
     "symmetric_ray_extreme": slots(V),
     # group_core
