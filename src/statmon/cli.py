@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import gc
 import importlib.util
 import json
 import os
@@ -287,5 +288,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def _entry() -> int:
+    """The process entry of `python -m statmon.cli` and the `statmon` script:
+    main(), then gc.freeze() (also after --help or a usage error), so the
+    interpreter's shutdown collection skips every object the run left behind.
+    In-process callers (tests, perfbench's tracer) call main() and keep their
+    collector as it was."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

@@ -164,7 +164,10 @@ def orbit_space(n: int, constraints) -> OrbitSpace:
     _, column, size = np.unique(low, return_inverse=True, return_counts=True)
     if size.shape[0] > ORBIT_DIM_MAX:
         raise CapacityError(f"the constrained space of n = {n} has dimension {size.shape[0]}, over {ORBIT_DIM_MAX}")
-    return OrbitSpace(n, constraints, column, sign / np.sqrt(size[column]), size.shape[0])
+    entry = sign / np.sqrt(size[column])
+    for arr in (column, entry):
+        arr.setflags(write=False)
+    return OrbitSpace(n, constraints, column, entry, size.shape[0])
 
 
 def joint_eigenspace_basis(n: int, constraints) -> np.ndarray:

@@ -18,8 +18,8 @@ these names beside its batched kernels, which reuse the arithmetic below.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError, as_count, as_real
 
@@ -123,14 +123,12 @@ def theta_family_margin(v, grid: int = THETA_GRID_DEFAULT) -> float:
     return theta_margin_of_v(*v, grid)
 
 
-@dataclass(frozen=True)
-class RegionCheck:
-    """Result of both membership forms for one v-vector."""
+class RegionCheck(collections.namedtuple("RegionCheck", "v theta_margin sqrt_margin inside")):
+    """Result of both membership forms for one v-vector: the tuple (v,
+    theta_margin, sqrt_margin, inside).  A named tuple, not a dataclass, so
+    that `statmon check` does not import `dataclasses` (and `inspect`)."""
 
-    v: tuple[float, float, float]
-    theta_margin: float
-    sqrt_margin: float
-    inside: bool
+    __slots__ = ()
 
     @classmethod
     def evaluate(cls, v, theta_grid: int = THETA_GRID_DEFAULT) -> "RegionCheck":

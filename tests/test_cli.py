@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -296,6 +297,40 @@ def test_selftest_passes(capsys):
     assert len(lines) == len(CHECKS)
 
 
+def test_the_process_entry_prints_and_exits_as_main(capsys, monkeypatch):
+    # `python -m statmon.cli` runs main() and then freezes the collector before
+    # the interpreter's shutdown; neither the bytes nor the exit code may move
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps at, here and in the child
+    env = dict(os.environ, PYTHONPATH=str(Path(statmon.__file__).parents[1]))
+    for argv, want in (
+        (["check", "--v", "0.6,0.6,-0.6"], 0), (["check", "--v", "1,1,-1"], 2), (["check", "--v", "2,0,0"], 1),
+        (["--help"], 0),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "statmon.cli", *argv], capture_output=True, env=env, timeout=60)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help exits from argparse
+            code = exc.code
+        assert (proc.returncode, code) == (want, want), argv
+        assert proc.stdout == capsys.readouterr().out.encode(), argv
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["statmon"]
+    module_name, _, attr = target.partition(":")
+    assert module_name == "statmon.cli"  # the module `python -m statmon.cli` runs
+    module = importlib.import_module(module_name)
+    assert callable(getattr(module, attr))
+    # the one statement under `if __name__ == "__main__":` calls that same function
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    (block,) = [
+        node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({attr}())"]
+
+
 def test_closed_output_pipe_exits_quietly():
     # The CSV (~150 kB) overflows the pipe buffer, so the writer is still
     # writing when the reader closes its end after one line.
@@ -325,7 +360,8 @@ def _fresh_python(code: str):
 # Each command's layers after `import statmon.cli` and `main(argv)`: extremal,
 # npartite and selftest sit in sys.modules from the start (perfbench's tracer
 # looks them up there) but run only when a command touches them; numpy is
-# imported only by a command that uses it.
+# imported only by a command that uses it, and dataclasses (which pulls in
+# inspect, ast and dis) only by a numpy layer.
 _LAYER_PROBE = """
 import contextlib, io, json, sys, types
 import statmon.cli
@@ -334,7 +370,7 @@ def layers():
     names = ("statmon.extremal", "statmon.npartite", "statmon.selftest", "statmon.state3")
     seen = {m.split(".")[1]: "absent" if m not in sys.modules
             else "run" if type(sys.modules[m]) is types.ModuleType else "lazy" for m in names}
-    return dict(seen, numpy="numpy" in sys.modules)
+    return dict(seen, **{m: m in sys.modules for m in ("numpy", "dataclasses", "inspect")})
 
 seen = {"import": layers()}
 for argv in %s:
@@ -380,7 +416,10 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
     seen = _fresh_python(
         _LAYER_PROBE % (without_numpy + state3_only + [four_box_v, ["extremal", "--objective", "AB:1,BC:-1"]])
     )
-    untouched = {"extremal": "lazy", "npartite": "lazy", "selftest": "lazy", "state3": "lazy", "numpy": False}
+    untouched = {
+        "extremal": "lazy", "npartite": "lazy", "selftest": "lazy", "state3": "lazy",
+        "numpy": False, "dataclasses": False, "inspect": False,
+    }
     assert seen.pop("import") == untouched
     for argv in without_numpy:
         assert seen.pop(" ".join(argv)) == untouched, argv
@@ -388,7 +427,9 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
         assert seen.pop(" ".join(argv)) == dict(untouched, state3="run"), argv
     # v of every box count runs state3's exchange pairs, with no numpy
     assert seen.pop(" ".join(four_box_v)) == dict(untouched, state3="run", numpy=False)
-    assert seen.pop("extremal --objective AB:1,BC:-1") == dict(untouched, extremal="run", state3="run", numpy=True)
+    assert seen.pop("extremal --objective AB:1,BC:-1") == dict(
+        untouched, extremal="run", state3="run", numpy=True, dataclasses=True, inspect=True
+    )
     assert seen == {"pool": []}
 
 

@@ -131,6 +131,16 @@ def test_infeasible_constraints():
         )
 
 
+def test_orbit_space_arrays_are_read_only():
+    space = ex.orbit_space(3, [ex.Constraint(P("AB"), +1)])
+    before = space.matrix([1.0, 0.0, 0.0])
+    for arr in (space.column, space.entry):
+        with pytest.raises(ValueError):
+            arr[:] = 0
+    assert np.array_equal(space.matrix([1.0, 0.0, 0.0]), before)
+    assert np.abs(before).max() > 0.0
+
+
 def test_symmetric_ray_extreme():
     assert abs(ex.symmetric_ray_extreme([1.0, 1.0, -1.0]) - 0.6) < 1e-9
     assert abs(ex.symmetric_ray_extreme([-1.0, -1.0, 1.0]) - 0.6) < 1e-9
