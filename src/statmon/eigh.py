@@ -9,7 +9,7 @@ BLAS builds.  A caller that needs another eigenspace negates or shifts A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 import numpy as np
 
@@ -21,22 +21,20 @@ RESIDUAL_TOL = 1e-9
 SIGN_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Descending eigenvalues and the top eigenspace's canonical unit vector `top_vector`.
+class SpectralDecomposition(
+    collections.namedtuple("SpectralDecomposition", "eigenvalues top_vector residual gram_error scale")
+):
+    """Descending eigenvalues (read-only array) and the top eigenspace's canonical unit vector `top_vector`.
 
     `residual` is max |A - V diag(w) V^T| and `gram_error` max |V^T V - I|
     for LAPACK's eigenvectors V.  Eigenvalues within CLUSTER_GAP * `scale`
     count as one cluster, so rescaling A leaves the clusters alone.  `scale`
     is max |A|; a caller that decomposes the restriction of a larger matrix
     sets it to that matrix's max |entry|, as the restriction can be roundoff.
+    `residual`, `gram_error` and `scale` are floats.
     """
 
-    eigenvalues: np.ndarray
-    top_vector: np.ndarray
-    residual: float
-    gram_error: float
-    scale: float
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

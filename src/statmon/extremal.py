@@ -8,8 +8,8 @@ problem restricted to the joint constraint eigenspace, built in its orbit basis.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,16 +28,15 @@ SEARCH_RESTARTS = 5  # independent annealing runs in random_search_max
 SEARCH_ROUNDS = 12  # sampling rounds per restart
 
 
-@dataclass(frozen=True)
-class Objective:
-    """Linear objective sum of c_XY * Pi_XY over canonical pairs."""
+class Objective(collections.namedtuple("Objective", "n weights")):
+    """Linear objective sum of c_XY * Pi_XY over canonical pairs: the box count
+    n and a read-only array of one weight c_XY per canonical pair."""
 
-    n: int
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = group_core.validate_box_count(self.n)
-        w = as_array(self.weights, "objective weights", finite=False)
+    def __new__(cls, n: int, weights):
+        n = group_core.validate_box_count(n)
+        w = as_array(weights, "objective weights", finite=False)
         pairs = group_core.canonical_pairs(n)
         if w.shape[0] != len(pairs):
             raise ValidationError(f"expected {len(pairs)} weights for n = {n}, got {w.shape[0]}")
@@ -54,8 +53,11 @@ class Objective:
                 f"objective weights must have absolute sum <= {WEIGHT_SUM_MAX:g}, got {total:g}"
             )
         w.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "weights", w)
+        return super().__new__(cls, n, w)
+
+    @classmethod
+    def _make(cls, values) -> "Objective":
+        return cls(*values)  # _replace builds its record here, so it is checked too
 
     @classmethod
     def from_pairs(cls, n: int, coefficients: dict) -> "Objective":
@@ -75,32 +77,32 @@ class Objective:
         return group_core.exchange_matrix(self.n, self.weights)
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Perfect-statistics condition v_XY = +1 or -1 on one pair."""
+class Constraint(collections.namedtuple("Constraint", "pair value")):
+    """Perfect-statistics condition v_XY = +1 or -1 on one pair: the tuple
+    (Pair, int value)."""
 
-    pair: group_core.Pair
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        as_instance(self.pair, group_core.Pair, "constraint pair")
-        value = as_real(self.value, f"constraint on {self.pair}")
-        if value not in (1.0, -1.0):
+    def __new__(cls, pair: group_core.Pair, value: int):
+        as_instance(pair, group_core.Pair, "constraint pair")
+        real = as_real(value, f"constraint on {pair}")
+        if real not in (1.0, -1.0):
             raise ValidationError(
-                f"constraint on {self.pair} must be exactly +1 or -1, got {self.value!r}; "
+                f"constraint on {pair} must be exactly +1 or -1, got {value!r}; "
                 "intermediate targets are not eigenspace conditions"
             )
-        object.__setattr__(self, "value", int(value))
+        return super().__new__(cls, pair, int(real))
+
+    @classmethod
+    def _make(cls, values) -> "Constraint":
+        return cls(*values)  # _replace builds its record here, so it is checked too
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
-    """Optimal value with an attaining state and top-eigenvalue degeneracy."""
+class ExtremalResult(collections.namedtuple("ExtremalResult", "value state degeneracy v")):
+    """Optimal value (float) with an attaining PureState, the top eigenvalue's
+    degeneracy (int) and the state's v-vector (array)."""
 
-    value: float
-    state: states.PureState
-    degeneracy: int
-    v: np.ndarray
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -117,17 +119,13 @@ def max_expectation(objective: Objective) -> ExtremalResult:
     return constrained_extremal((), objective)
 
 
-@dataclass(frozen=True)
-class OrbitSpace:
+class OrbitSpace(collections.namedtuple("OrbitSpace", "n constraints column entry k")):
     """The joint constraint eigenspace (psi[m(i)] = s psi[i] for each constrained exchange m, sign s) in its
     basis of word orbits under the constrained swaps: each word's orbit `column`, orbits in the order of their
-    lowest words, its `entry` sign/sqrt(orbit size), +1 on the lowest word, and the dimension k."""
+    lowest words, its `entry` sign/sqrt(orbit size), +1 on the lowest word, and the dimension k.  `n` and `k`
+    are ints, `constraints` a tuple of Constraint, `column` and `entry` read-only arrays of n! entries."""
 
-    n: int
-    constraints: tuple[Constraint, ...]
-    column: np.ndarray
-    entry: np.ndarray
-    k: int
+    __slots__ = ()
 
     def matrix(self, weights) -> np.ndarray:
         """B^T (sum_p c_p Pi_p) B for one unchecked weight c_p per canonical pair, by one scatter:
@@ -200,7 +198,7 @@ def constrained_extremal(constraints, objective: Objective) -> ExtremalResult:
     restricted = space.matrix(weights)
     # cluster at the full objective's scale, 1 in these units: the restriction
     # can be pure roundoff, as for AB - CD on the v_AB = v_CD = +1 eigenspace
-    dec = replace(symmetric_spectrum(restricted), scale=1.0)
+    dec = symmetric_spectrum(restricted)._replace(scale=1.0)
     top = float(dec.eigenvalues[0])
     state = states.normalize((dec.top_vector[space.column] * space.entry).astype(np.complex128), objective.n)
     v = observables.v_vector(state)

@@ -9,9 +9,9 @@ which keeps every group identity exact in integer arithmetic.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,19 +48,21 @@ def parse_box(label: str) -> int:
     return idx
 
 
-@dataclass(frozen=True, order=True)
-class Pair:
-    """Unordered pair of distinct boxes, stored with x < y."""
+class Pair(collections.namedtuple("Pair", "x y")):
+    """Unordered pair of distinct boxes, stored with x < y: the tuple (x, y),
+    which it equals, hashes and orders as."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        x, y = as_count(self.x, "pair box"), as_count(self.y, "pair box")
+    def __new__(cls, x: int, y: int):
+        x, y = as_count(x, "pair box"), as_count(y, "pair box")
         if not 0 <= x < y:
             raise ValidationError(f"pair requires 0 <= x < y, got ({x}, {y})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        return super().__new__(cls, x, y)
+
+    @classmethod
+    def _make(cls, values) -> "Pair":
+        return cls(*values)  # _replace builds its record here, so it is checked too
 
     @classmethod
     def of(cls, a: int, b: int) -> "Pair":
@@ -289,16 +291,13 @@ def all_exchange_operators(n: int) -> tuple[ExchangeOperator, ...]:
     return tuple(exchange_operator(n, p) for p in canonical_pairs(n))
 
 
-@dataclass(frozen=True)
-class ExchangeTable:
+class ExchangeTable(collections.namedtuple("ExchangeTable", "mappings lo hi row")):
     """Row p, for the p-th canonical pair: the exchange's basis mapping
     `mappings[p]`, which swaps word lo[p, j] < hi[p, j] with word hi[p, j]
-    and no other. `row` maps each pair to its row."""
+    and no other. `row` is a dict from each Pair to its row. The arrays are
+    read-only, `mappings` of shape (P, n!), `lo` and `hi` of shape (P, n!/2)."""
 
-    mappings: np.ndarray  # (P, n!)
-    lo: np.ndarray  # (P, n!/2)
-    hi: np.ndarray  # (P, n!/2)
-    row: dict
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

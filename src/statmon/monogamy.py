@@ -15,12 +15,11 @@ rows and CSV come from state3, and the mesh here holds them as arrays.
 
 from __future__ import annotations
 
+import collections
 import io
 import itertools
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,9 +36,6 @@ from .region import (
     theta_margin_of_v,
 )
 
-if TYPE_CHECKING:
-    from .states import PureState
-
 AUDIT_SHARD = 16384
 AUDIT_BLOCK_ROWS = 4096  # shard rows per kernel pass: their 384 KiB planar copy stays in L2
 AUDIT_MAX_DRAWS = 2**30  # 65536 shards; at about 0.3 us per draw per core, minutes of work
@@ -48,16 +44,11 @@ _SIGNS = (1, -1)  # s1/s2 values in state3.boundary_rows' order
 _ROW = np.dtype([("amplitudes", np.float64, 6), ("v", np.float64, 3)])
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A boundary state with its parameters and measured v-vector."""
+class SurfacePoint(collections.namedtuple("SurfacePoint", "theta phi s1 s2 state v")):
+    """A boundary state with its parameters and measured v-vector: float
+    angles theta and phi, int signs s1 and s2, the PureState and its v array."""
 
-    theta: float
-    phi: float
-    s1: int
-    s2: int
-    state: PureState
-    v: np.ndarray
+    __slots__ = ()
 
 
 class SurfaceMesh(Sequence):
@@ -140,12 +131,10 @@ def mesh_csv_text(points) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    samples: int
-    seed: int
-    min_margin: float
-    violations: int
+class AuditReport(collections.namedtuple("AuditReport", "samples seed min_margin violations")):
+    """Draw count, seed, smallest membership margin (float) and violation count of a region audit."""
+
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {

@@ -9,8 +9,8 @@ objective whose expectation is affine in x.
 
 from __future__ import annotations
 
+import collections
 import itertools
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,24 +21,22 @@ PATTERN_TOL = 1e-9
 BOUND_PREDICATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ScenarioGraph:
-    """Boxes 0..n-1 with fixed edges (pair -> +-1) and free edges (-x)."""
+class ScenarioGraph(collections.namedtuple("ScenarioGraph", "n fixed free")):
+    """Boxes 0..n-1 with fixed edges (pair -> +-1) and free edges (-x): the
+    box count, a tuple of extremal.Constraint and a tuple of Pair."""
 
-    n: int
-    fixed: tuple[tuple[group_core.Pair, int], ...]
-    free: tuple[group_core.Pair, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = group_core.validate_box_count(self.n)
+    def __new__(cls, n: int, fixed, free):
+        n = group_core.validate_box_count(n)
         if n < 3:
             raise ValidationError("scenario graphs need at least 3 boxes")
-        edges = as_items(self.fixed, tuple, "fixed edges")
+        edges = as_items(fixed, tuple, "fixed edges")
         if any(len(edge) != 2 for edge in edges):
-            raise ValidationError(f"fixed edges must be (pair, sign) pairs, got {self.fixed!r}")
+            raise ValidationError(f"fixed edges must be (pair, sign) pairs, got {fixed!r}")
         # the constraint rule: exactly +-1, never a float rounded to it
-        fixed = tuple((c.pair, c.value) for c in (extremal.Constraint(*edge) for edge in edges))
-        free = tuple(as_items(self.free, group_core.Pair, "free edges"))
+        fixed = tuple(extremal.Constraint(*edge) for edge in edges)
+        free = tuple(as_items(free, group_core.Pair, "free edges"))
         typed = [("fixed", p) for p, _ in fixed] + [("free", p) for p in free]
         for kind, pair in typed:
             if pair.y >= n:
@@ -47,9 +45,11 @@ class ScenarioGraph:
             raise ValidationError("scenario needs at least one fixed or free edge")
         if len({p for _, p in typed}) != len(typed):
             raise ValidationError("fixed and free edge sets must be disjoint and unique")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "free", free)
+        return super().__new__(cls, n, fixed, free)
+
+    @classmethod
+    def _make(cls, values) -> "ScenarioGraph":
+        return cls(*values)  # _replace builds its record here, so it is checked too
 
     @property
     def fixed_map(self) -> dict[group_core.Pair, int]:
@@ -82,25 +82,18 @@ class ScenarioGraph:
         }
 
 
-@dataclass(frozen=True)
-class ScenarioBound:
+class ScenarioBound(collections.namedtuple("ScenarioBound", "n triangle_bound spectral_bound lambda_max improvement "
+                                           "feasible pattern_attained attaining_state attaining_v")):
     """Bounds on the free-edge value x (v_free = -x), plus attainment data.
 
     `triangle_bound` / `spectral_bound` are upper bounds on x (None when the
     scenario has no free edges); `feasible` is set only in the no-free-edge
     case; `attaining_state` is present when the top eigenstate reproduces
-    the scenario pattern exactly.
+    the scenario pattern exactly, with its v-vector `attaining_v` (both None
+    otherwise). `lambda_max` is a float, `improvement` a bool or None.
     """
 
-    n: int
-    triangle_bound: float | None
-    spectral_bound: float | None
-    lambda_max: float
-    improvement: bool | None
-    feasible: bool | None
-    pattern_attained: bool
-    attaining_state: states.PureState | None
-    attaining_v: np.ndarray | None
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -226,9 +219,9 @@ def scenario_report(graph: ScenarioGraph) -> ScenarioBound:
     the fixed edges to objective weights."""
     tri = triangle_bounds(graph) if as_instance(graph, ScenarioGraph, "scenario").free else None
     if graph.free:
-        extremal.orbit_space(graph.n, [extremal.Constraint(p, v) for p, v in graph.fixed])
+        extremal.orbit_space(graph.n, graph.fixed)
     spectral = spectral_bound(graph)
     improvement = None
     if tri is not None and spectral.spectral_bound is not None:
         improvement = bool(spectral.spectral_bound < tri - PATTERN_TOL)
-    return replace(spectral, triangle_bound=tri, improvement=improvement)
+    return spectral._replace(triangle_bound=tri, improvement=improvement)

@@ -10,7 +10,7 @@ These identities are what make the double-cone membership test exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 from functools import lru_cache
 
 import numpy as np
@@ -75,10 +75,12 @@ def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
     if amps.ndim != 2 or amps.shape[1] != dim:
         raise ValidationError(f"amplitude rows for n = {n} need shape (N, {dim}), got {amps.shape}")
     table = group_core.exchange_table(n)
-    try:
-        rows = slice(None) if pairs is None else [table.row[pair] for pair in pairs]
-    except KeyError as exc:
-        raise ValidationError(f"pair {exc.args[0]} invalid for n = {n}") from None
+    rows = slice(None) if pairs is None else []
+    for pair in () if pairs is None else pairs:
+        # by type too: a plain tuple equals and hashes as the Pair of its values
+        if not isinstance(pair, group_core.Pair) or pair not in table.row:
+            raise ValidationError(f"pair {pair} invalid for n = {n}")
+        rows.append(table.row[pair])
     lo, hi = table.lo[rows], table.hi[rows]
     out = np.empty((len(amps), len(lo)))
     if not len(lo):
@@ -118,16 +120,10 @@ def v_vector(state: PureState | MixedState) -> np.ndarray:
     raise ValidationError(f"unsupported state type {type(state).__name__}")
 
 
-@dataclass(frozen=True)
-class WFrame:
-    """The three n = 3 frame vectors and their operator matrices."""
+class WFrame(collections.namedtuple("WFrame", "w1 w2 w3 W1 W2 W3")):
+    """The three n = 3 frame vectors and their operator matrices, all read-only arrays."""
 
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
-    W3: np.ndarray
+    __slots__ = ()
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.w1, self.w2, self.w3)

@@ -360,8 +360,9 @@ def _fresh_python(code: str):
 # Each command's layers after `import statmon.cli` and `main(argv)`: extremal,
 # npartite and selftest sit in sys.modules from the start (perfbench's tracer
 # looks them up there) but run only when a command touches them; numpy is
-# imported only by a command that uses it, and dataclasses (which pulls in
-# inspect, ast and dis) only by a numpy layer.
+# imported only by a command that uses it (and imports inspect), the thread
+# pool only by an audit, and dataclasses (which pulls in inspect, ast and
+# dis) by no command: every record is a named tuple.
 _LAYER_PROBE = """
 import contextlib, io, json, sys, types
 import statmon.cli
@@ -370,7 +371,8 @@ def layers():
     names = ("statmon.extremal", "statmon.npartite", "statmon.selftest", "statmon.state3")
     seen = {m.split(".")[1]: "absent" if m not in sys.modules
             else "run" if type(sys.modules[m]) is types.ModuleType else "lazy" for m in names}
-    return dict(seen, **{m: m in sys.modules for m in ("numpy", "dataclasses", "inspect")})
+    return dict(seen, **{m: m in sys.modules for m in ("numpy", "dataclasses", "inspect")},
+                pool=[m for m in ("concurrent.futures", "logging") if m in sys.modules])
 
 seen = {"import": layers()}
 for argv in %s:
@@ -378,7 +380,6 @@ for argv in %s:
             contextlib.suppress(SystemExit):
         statmon.cli.main(argv)
     seen[" ".join(argv)] = layers()
-seen["pool"] = [m for m in ("concurrent.futures", "logging") if m in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -413,12 +414,17 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
         assert run(capsys, *argv)[0] == 0, argv
     for name in ("paper3", "lex"):
         assert json.loads(run(capsys, "v", "--state", str(files[name]))[1])["v"] == [1.0, -0.5, -0.5]
-    seen = _fresh_python(
-        _LAYER_PROBE % (without_numpy + state3_only + [four_box_v, ["extremal", "--objective", "AB:1,BC:-1"]])
-    )
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"n": 4, "fixed": {"AB": 1, "CD": 1}, "free": ["AC", "AD", "BC", "BD"]}))
+    # each numpy command in turn, so every layer it adds stays loaded for the next
+    with_numpy = [
+        ["extremal", "--objective", "AB:1,BC:-1"], ["scenario", "--file", str(scenario)],
+        ["audit", "--samples", "2000", "--seed", "1", "--mixed"], ["selftest"],
+    ]
+    seen = _fresh_python(_LAYER_PROBE % (without_numpy + state3_only + [four_box_v] + with_numpy))
     untouched = {
         "extremal": "lazy", "npartite": "lazy", "selftest": "lazy", "state3": "lazy",
-        "numpy": False, "dataclasses": False, "inspect": False,
+        "numpy": False, "dataclasses": False, "inspect": False, "pool": [],
     }
     assert seen.pop("import") == untouched
     for argv in without_numpy:
@@ -427,10 +433,18 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path, capsys):
         assert seen.pop(" ".join(argv)) == dict(untouched, state3="run"), argv
     # v of every box count runs state3's exchange pairs, with no numpy
     assert seen.pop(" ".join(four_box_v)) == dict(untouched, state3="run", numpy=False)
-    assert seen.pop("extremal --objective AB:1,BC:-1") == dict(
-        untouched, extremal="run", state3="run", numpy=True, dataclasses=True, inspect=True
-    )
-    assert seen == {"pool": []}
+    # numpy imports inspect; no layer imports dataclasses, and only an audit starts the pool
+    loaded = dict(untouched, extremal="run", state3="run", numpy=True, inspect=True)
+    assert seen.pop(" ".join(with_numpy[0])) == loaded
+    assert seen.pop(" ".join(with_numpy[1])) == dict(loaded, npartite="run")
+    pool = ["concurrent.futures", "logging"]
+    assert seen.pop(" ".join(with_numpy[2])) == dict(loaded, npartite="run", pool=pool)
+    assert seen.pop(" ".join(with_numpy[3])) == dict(loaded, npartite="run", selftest="run", pool=pool)
+    assert seen == {}
+    # the selftest layer imports every other one
+    assert _fresh_python(
+        "import json, sys, statmon.selftest; print(json.dumps(sorted(set(sys.modules) & {'dataclasses', 'numpy'})))"
+    ) == ["numpy"]
 
 
 def test_v_of_a_stored_state_past_three_boxes_builds_no_pure_state(tmp_path, capsys, monkeypatch):

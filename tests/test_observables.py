@@ -262,9 +262,8 @@ def test_exchange_rows_input_contract():
         ob.exchange_rows(amps[0], 3)
     assert ob.exchange_rows(amps, 3, []).shape == (2, 0)
     assert ob.exchange_rows(amps[:0], 3).shape == (0, 3)
-    for pair in (gc.Pair(0, 3), (0, 1)):
-        with pytest.raises(ValidationError, match="invalid for n = 3"):
-            ob.exchange_rows(amps, 3, [gc.Pair(0, 1), pair])
+    with pytest.raises(ValidationError, match="invalid for n = 3"):
+        ob.exchange_rows(amps, 3, [gc.Pair(0, 1), gc.Pair(0, 3)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
