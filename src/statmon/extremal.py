@@ -283,14 +283,12 @@ def random_search_max(
             if local_amp is not None:
                 z *= sigma
                 z += local_amp
-            # squared norms summed on the float view: no batch-sized temporary
-            flat = z.view(np.float64)
-            z /= np.sqrt(np.einsum("ri,ri->r", flat, flat))[:, None]
+            states.unit_rows(z)
             vals = observables.exchange_rows(z, objective.n) @ objective.weights
             i = int(np.argmax(vals))
             if vals[i] > local_val:
                 local_val, local_amp = float(vals[i]), z[i].copy()
-            del z, flat  # the next round's draw must not sit beside this batch
+            del z  # the next round's draw must not sit beside this batch
             sigma *= SEARCH_SHRINK
         if local_val > best_val:
             best_val, best_amp = local_val, local_amp

@@ -10,14 +10,13 @@ which keeps every group identity exact in integer arithmetic.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, ValidationError, as_array, as_count, as_instance
-from .state3 import BOX_LETTERS, PAPER3_WORDS, exchange_mappings, factorial_dim, pair_order, validate_box_count
+from .state3 import BOX_LETTERS, canonical_words, exchange_mappings, factorial_dim, pair_order, validate_box_count
 
 Word = tuple[int, ...]
 DENSE_MAX_BYTES = 2**24  # n! x n! arrays built at once: n = 6 takes 4.1 MB real, 8.3 MB complex; n = 7 0.2 GB real
@@ -124,26 +123,19 @@ def relabel(word: Word, pair: Pair) -> Word:
 
 
 class BasisOrdering:
-    """Bijection between occupation words and basis indices in [0, n!)."""
+    """Bijection between occupation words and basis indices in [0, n!): the
+    one basis of n boxes, state3.canonical_words(n), whose `kind` is "paper3"
+    for n = 3 and "lex" otherwise. Orderings of the same n are equal."""
 
     __slots__ = ("n", "kind", "words", "word_array", "_index")
 
-    def __init__(self, n: int, kind: str):
-        n = validate_box_count(n)
-        if kind == "paper3":
-            if n != 3:
-                raise ValidationError("ordering 'paper3' is defined only for n = 3")
-            words = PAPER3_WORDS
-        elif kind == "lex":
-            words = tuple(itertools.permutations(range(n)))
-        else:
-            raise ValidationError(f"unknown ordering kind {kind!r}")
-        self.n = n
-        self.kind = kind
-        self.words = words
-        self.word_array = np.array(words, dtype=np.int64)
+    def __init__(self, n: int):
+        self.n = validate_box_count(n)
+        self.kind = "paper3" if self.n == 3 else "lex"
+        self.words = canonical_words(self.n)
+        self.word_array = np.array(self.words, dtype=np.int64)
         self.word_array.setflags(write=False)
-        self._index = {word: k for k, word in enumerate(words)}
+        self._index = {word: k for k, word in enumerate(self.words)}
 
     @property
     def dim(self) -> int:
@@ -152,7 +144,7 @@ class BasisOrdering:
     @classmethod
     @lru_cache(maxsize=None)
     def canonical(cls, n: int) -> "BasisOrdering":
-        return cls(n, "paper3" if n == 3 else "lex")
+        return cls(n)
 
     def word_to_index(self, word) -> int:
         return self._index[validate_word(word, self.n)]
@@ -168,13 +160,13 @@ class BasisOrdering:
         return self.words[index]
 
     def __eq__(self, other):
-        return isinstance(other, BasisOrdering) and (self.n, self.kind) == (other.n, other.kind)
+        return isinstance(other, BasisOrdering) and self.n == other.n
 
     def __hash__(self):
-        return hash((self.n, self.kind))
+        return hash(self.n)
 
     def __repr__(self):
-        return f"BasisOrdering(n={self.n}, kind={self.kind!r})"
+        return f"BasisOrdering(n={self.n})"
 
 
 class PermutationOperator:

@@ -61,34 +61,25 @@ def expectation(state: PureState | MixedState, op) -> float:
     return float(value.real)
 
 
-def exchange_rows(amps, n: int, pairs=None) -> np.ndarray:
+def exchange_rows(amps, n: int) -> np.ndarray:
     """Batched <psi|Pi_XY|psi> for every unit amplitude row of `amps`.
 
-    `amps` has shape (N, n!); the result has shape (N, len(pairs)), its
-    columns following `pairs` (default: the canonical pairs of n, so each row
-    is that state's v-vector). Rows are taken as already normalized. They are
-    worked through in blocks of about ROW_BLOCK_BYTES of products, so the
-    scratch memory does not grow with N.
+    `amps` has shape (N, n!); the result has shape (N, P), row i the v-vector
+    of amplitude row i, its P columns in the canonical pair order of n. Rows
+    are taken as already normalized. They are worked through in blocks of
+    about ROW_BLOCK_BYTES of products, so the scratch memory does not grow
+    with N.
     """
     dim = group_core.factorial_dim(n)
     amps = np.asarray(amps)
     if amps.ndim != 2 or amps.shape[1] != dim:
         raise ValidationError(f"amplitude rows for n = {n} need shape (N, {dim}), got {amps.shape}")
     table = group_core.exchange_table(n)
-    rows = slice(None) if pairs is None else []
-    for pair in () if pairs is None else pairs:
-        # by type too: a plain tuple equals and hashes as the Pair of its values
-        if not isinstance(pair, group_core.Pair) or pair not in table.row:
-            raise ValidationError(f"pair {pair} invalid for n = {n}")
-        rows.append(table.row[pair])
-    lo, hi = table.lo[rows], table.hi[rows]
-    out = np.empty((len(amps), len(lo)))
-    if not len(lo):
-        return out
+    out = np.empty((len(amps), len(table.lo)))
     # one real row per state, its amplitudes' real and imaginary parts
     # interleaved: part p of amplitude k sits in column 2k + p. Flat column
     # indices are ordered (part, k < m(k), pair).
-    lo, hi = ((2 * ix.T + np.arange(2)[:, None, None]).ravel() for ix in (lo, hi))
+    lo, hi = ((2 * ix.T + np.arange(2)[:, None, None]).ravel() for ix in (table.lo, table.hi))
     step = max(2, ROW_BLOCK_BYTES // (8 * lo.size))
     for start in range(0, len(amps), step):
         # read per block, so a real batch's complex copy stays block-sized

@@ -216,7 +216,7 @@ def perfect_simulation_transitive():
         base = states.named_state(base_name).amplitudes
         noise = states.gaussian_amplitudes(3, 25, rng)
         noise -= (noise @ base.conj())[:, None] * base
-        noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+        states.unit_rows(noise)
         V = observables.exchange_rows(np.sqrt(1 - eps**2) * base + eps * noise, 3)
         assert (np.abs(V[:, :2] - sign) < ALGEBRA_TOL).all()
         assert (np.abs(V[:, 2] - sign) <= STATE_TOL).all()
@@ -229,7 +229,7 @@ def eigenvector_constraint_lemma():
     op = group_core.exchange_operator(3, group_core.Pair(0, 1))
     tol = 1e-6
     amps = states.random_amplitudes(3, 50, np.random.default_rng(88))
-    v = observables.exchange_rows(amps, 3, [op.pair])[:, 0]
+    v = observables.exchange_rows(amps, 3)[:, group_core.exchange_table(3).row[op.pair]]
     moved = np.empty_like(amps)
     moved[:, op.mapping] = amps  # states.apply on every row
     gap = np.linalg.norm(moved - amps, axis=1) ** 2
@@ -370,7 +370,7 @@ def state3_cross_check():
     assert worst <= 1e-15
     # seeded rows of n = 2..5 boxes, stored in every word order, read back to
     # exchange_rows' v bits
-    lex3 = group_core.BasisOrdering.canonical(3).indices(group_core.BasisOrdering(3, "lex").word_array)
+    lex3 = group_core.BasisOrdering.canonical(3).indices(np.array(sorted(state3.PAPER3_WORDS)))
     for n in range(2, 6):
         amps = states.random_amplitudes(n, 16, np.random.default_rng(20 + n))
         want = observables.exchange_rows(amps, n)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from . import eigh, group_core, state3
-from .errors import ValidationError, as_array, as_instance, as_items, as_real, as_seed
+from .errors import ValidationError, as_array, as_count, as_instance, as_items, as_real, as_seed
 from .group_core import check_dense_capacity
 from .state3 import NAMED_STATES, gaussian_parts  # NAMED_STATES: the names named_state takes
 
@@ -59,10 +59,12 @@ class PureState:
 def normalize(amplitudes, n: int | None = None) -> PureState:
     """Rescale an amplitude vector (or state) to unit norm.
 
-    Raises on the zero vector; already-normalized input comes back
-    unchanged up to roundoff.
+    Raises on the zero vector, and on a state with an `n` other than its
+    own; already-normalized input comes back unchanged up to roundoff.
     """
     if isinstance(amplitudes, PureState):
+        if n is not None and as_count(n, "box count") != amplitudes.n:
+            raise ValidationError(f"a state of n = {amplitudes.n} cannot be normalized as n = {n}")
         n, amps = amplitudes.n, amplitudes.amplitudes
     else:
         amps = as_array(amplitudes, "amplitudes", complex)
@@ -109,11 +111,18 @@ def gaussian_amplitudes(n: int, count: int, rng: np.random.Generator) -> np.ndar
     return z
 
 
+def unit_rows(z: np.ndarray) -> np.ndarray:
+    """Divide each row of a C-contiguous complex128 array by its norm, in place,
+    and return it. The squared norms are summed on the float view, so no
+    batch-sized temporary is made."""
+    flat = z.view(np.float64)
+    z /= np.sqrt(np.einsum("ri,ri->r", flat, flat))[:, None]
+    return z
+
+
 def random_amplitudes(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Rows are unit vectors drawn from the rotation-invariant distribution."""
-    z = gaussian_amplitudes(n, count, rng)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z
+    return unit_rows(gaussian_amplitudes(n, count, rng))
 
 
 def random_pure_state(n: int, seed: int) -> PureState:

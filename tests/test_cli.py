@@ -476,7 +476,7 @@ def _stored_v_states(n: int) -> dict:
 
 
 def test_v_of_every_box_count_prints_the_batched_kernel_bits_without_numpy(tmp_path, capsys):
-    lex3 = gc.BasisOrdering.canonical(3).indices(gc.BasisOrdering(3, "lex").word_array).tolist()
+    lex3 = [state3.PAPER3_WORDS.index(word) for word in sorted(state3.PAPER3_WORDS)]
     argvs = []
     for n in range(2, 8):
         for kind, amps in _stored_v_states(n).items():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from statmon import group_core as gc
-from statmon import selftest
+from statmon import selftest, state3
 from statmon.extremal import Constraint, Objective, constraint_projector
 from statmon.states import PureState
 from statmon.errors import CapacityError, ValidationError
@@ -100,10 +100,18 @@ def test_exchange_table_rows_are_the_operator_mappings(n):
 
 
 def test_indices_count_permutations_in_order():
-    ordering = gc.BasisOrdering(5, "lex")
+    ordering = gc.BasisOrdering(5)
     assert ordering.indices(ordering.word_array).tolist() == list(range(120))
     paper3 = gc.BasisOrdering.canonical(3)
     assert paper3.indices(paper3.word_array).tolist() == list(range(6))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_an_ordering_of_n_boxes_is_the_one_canonical_basis(n):
+    ordering = gc.BasisOrdering(n)
+    assert ordering.words == state3.canonical_words(n)
+    assert ordering == gc.BasisOrdering.canonical(n) and hash(ordering) == hash(gc.BasisOrdering.canonical(n))
+    assert ordering.kind == ("paper3" if n == 3 else "lex")
 
 
 def test_permutation_operator_rejects_non_permutations():

@@ -93,18 +93,17 @@ def test_copy_and_pickle_build_through_the_checks(name):
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call",
     [
-        (lambda: ob.exchange_rows(np.eye(2, 6), 3, [(0, 1)]), r"^pair \(0, 1\) invalid for n = 3$"),
-        (lambda: extremal.Constraint((0, 1), 1), None),
-        (lambda: npartite.ScenarioGraph(4, (), [(0, 1)]), None),
-        (lambda: gc.exchange_operator(3, (0, 1)), None),
-        (lambda: gc.relabel((0, 1, 2), (0, 2)), None),
-        (lambda: extremal.Objective.from_pairs(3, {(0, 1): 1.0}), None),
+        lambda: extremal.Constraint((0, 1), 1),
+        lambda: npartite.ScenarioGraph(4, (), [(0, 1)]),
+        lambda: gc.exchange_operator(3, (0, 1)),
+        lambda: gc.relabel((0, 1, 2), (0, 2)),
+        lambda: extremal.Objective.from_pairs(3, {(0, 1): 1.0}),
     ],
-    ids=["exchange_rows", "Constraint", "ScenarioGraph", "exchange_operator", "relabel", "Objective.from_pairs"],
+    ids=["Constraint", "ScenarioGraph", "exchange_operator", "relabel", "Objective.from_pairs"],
 )
-def test_a_plain_tuple_is_never_a_pair(call, message):
+def test_a_plain_tuple_is_never_a_pair(call):
     # a Pair equals and hashes as the tuple of its boxes, so each entry point refuses by type
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError):
         call()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -23,6 +24,13 @@ def test_normalize_idempotent():
     psi = st.random_pure_state(3, 9)
     again = st.normalize(psi)
     assert np.abs(again.amplitudes - psi.amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, True, "3"])
+def test_normalize_refuses_a_state_with_another_box_count(n):
+    with pytest.raises(ValidationError):
+        st.normalize(st.named_state("eq5"), n)
+    assert st.normalize(st.named_state("eq5"), 3).n == 3
 
 
 def test_normalize_zero_vector_rejected():
@@ -102,6 +110,21 @@ def test_apply_eigenstates_and_involution():
     assert np.abs(twice.amplitudes - psi.amplitudes).max() == 0.0
 
 
+def test_apply_on_a_fresh_ordering_keeps_the_ab_boson_pair():
+    eq5 = st.named_state("eq5")
+    op = gc.ExchangeOperator(gc.BasisOrdering(3), gc.Pair(0, 1))
+    assert st.apply(op, eq5).amplitudes.tobytes() == eq5.amplitudes.tobytes()
+
+
+def test_unit_rows_divides_each_row_by_its_norm_in_place():
+    z = np.random.default_rng(8).standard_normal((50, 24, 2)) @ [1, 1j]
+    norms = np.linalg.norm(z, axis=1)
+    expected = z / norms[:, None]
+    assert st.unit_rows(z) is z
+    assert np.abs(z - expected).max() <= 1e-15
+    assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() <= 1e-15
+
+
 def test_random_state_deterministic_and_normalized():
     a = st.random_pure_state(4, 77)
     b = st.random_pure_state(4, 77)
@@ -130,8 +153,7 @@ def test_random_amplitudes_keep_the_two_call_draw(n):
     for count in (1, 2, 17, 1000):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            z = st.unit_rows(rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim)))
             again = np.random.default_rng(seed)
             assert st.random_amplitudes(n, count, again).tobytes() == z.tobytes()
             assert again.standard_normal() == rng.standard_normal()
@@ -309,7 +331,6 @@ def test_state_json_round_trip():
 
 
 def test_state_json_lex_reorders_to_paper3():
-    lex = gc.BasisOrdering(3, "lex")
     canonical = gc.BasisOrdering.canonical(3)
     amps = st.random_pure_state(3, 99).amplitudes
     payload = {
@@ -317,7 +338,7 @@ def test_state_json_lex_reorders_to_paper3():
         "ordering": "lex",
         "amplitudes": [
             [amps[canonical.word_to_index(w)].real, amps[canonical.word_to_index(w)].imag]
-            for w in lex.words
+            for w in itertools.permutations(range(3))
         ],
     }
     back = st.state_from_jsonable(payload)
